@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 
 from .exceptions import CertificationError, InputError
 from .fields import Field
-from .linalg import Mat, Span, inverse, nullspace
+from .linalg import (Mat, Span, complement_positions, coordinates, nullspace,
+                     unit_vector)
 
 # Paths are enumerated breadth-first; this guards against presentations
 # whose ideal never closes up (e.g. a free loop) producing runaway growth.
@@ -80,11 +81,6 @@ class Path:
     @property
     def length(self) -> int:
         return len(self.arrows)
-
-    def key(self):
-        # Degree-lexicographic order; the source index breaks ties among
-        # lazy paths (the arrow tuple determines everything in length >= 1).
-        return (len(self.arrows), self.arrows, self.source)
 
     def display(self, quiver: Quiver) -> str:
         if not self.arrows:
@@ -156,67 +152,45 @@ def _next_level(quiver: Quiver, level: list[Path]) -> list[Path]:
     return out
 
 
-class BoundQuiverAlgebra:
-    """A finite-dimensional quotient of a path algebra, with multiplication table.
+class StructureAlgebra:
+    """An associative algebra given by structure constants over a fixed basis,
+    with a designated complete set of orthogonal idempotents.
 
-    Elements are coefficient tuples over ``basis`` (a tuple of Path objects,
-    deglex ordered, lazy paths first).  Built by construct_algebra(); do not
-    instantiate directly.
+    Elements are coefficient tuples; ``table[i][j]`` is the coefficient tuple
+    of the product of basis elements i and j.  The unit is the sum of the
+    idempotents.
     """
 
-    def __init__(self, name, field, quiver, basis, table, relations, cutoff):
-        self.name = name
+    def __init__(self, field, table, idempotents, vertex_labels):
         self.field = field
-        self.quiver = quiver
-        self.basis = tuple(basis)
-        self.table = table  # table[i][j] = coefficient tuple for basis[i]*basis[j]
-        self.relations = tuple(relations)
-        self.cutoff = cutoff
-        self._index = {(p.source, p.arrows): i for i, p in enumerate(self.basis)}
-        for v in range(quiver.n_vertices):
-            assert self.basis[v] == Path(v, v, ()), "basis must start with the lazy paths"
-        self.arrow_basis_index = tuple(
-            self._index[(a.source, (ai,))] for ai, a in enumerate(quiver.arrows)
-        )
-
-    # -- basic structure ------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+        self.dim = len(table)
+        self.table = table
+        self.idempotents = tuple(tuple(e) for e in idempotents)
+        self.vertex_labels = tuple(vertex_labels)
+        one = self.zero_vec()
+        for e in self.idempotents:
+            one = self.add(one, e)
+        self._unit = one
 
     @property
     def n_vertices(self) -> int:
-        return self.quiver.n_vertices
+        return len(self.idempotents)
 
     @property
     def is_zero_algebra(self) -> bool:
-        return self.quiver.n_vertices == 0
+        return self.n_vertices == 0
 
     def zero_vec(self) -> tuple:
         return (self.field.zero,) * self.dim
 
     def unit_vec(self, i: int) -> tuple:
-        z = [self.field.zero] * self.dim
-        z[i] = self.field.one
-        return tuple(z)
-
-    def idempotent(self, v: int) -> tuple:
-        return self.unit_vec(v)
+        return unit_vector(self.field, self.dim, i)
 
     def unit(self) -> tuple:
-        z = [self.field.zero] * self.dim
-        for v in range(self.n_vertices):
-            z[v] = self.field.one
-        return tuple(z)
+        return self._unit
 
-    def basis_index(self, path: Path) -> Optional[int]:
-        return self._index.get((path.source, path.arrows))
-
-    # -- multiplication --------------------------------------------------
-
-    def mul_basis(self, i: int, j: int) -> tuple:
-        return self.table[i][j]
+    def idempotent(self, v: int) -> tuple:
+        return self.idempotents[v]
 
     def mul(self, u: Sequence, v: Sequence) -> tuple:
         F = self.field
@@ -233,16 +207,41 @@ class BoundQuiverAlgebra:
                         acc[k] = F.add(acc[k], F.mul(c, ck))
         return tuple(acc)
 
-    def scale(self, c, u: Sequence) -> tuple:
-        F = self.field
-        return tuple(F.mul(c, x) for x in u)
-
     def add(self, u: Sequence, v: Sequence) -> tuple:
         F = self.field
         return tuple(F.add(x, y) for x, y in zip(u, v))
 
+    def scale(self, c, u: Sequence) -> tuple:
+        F = self.field
+        return tuple(F.mul(c, x) for x in u)
+
     def is_zero_vec(self, u: Sequence) -> bool:
         return all(self.field.is_zero(x) for x in u)
+
+
+class BoundQuiverAlgebra(StructureAlgebra):
+    """A finite-dimensional quotient of a path algebra, with multiplication table.
+
+    Elements are coefficient tuples over ``basis`` (a tuple of Path objects,
+    deglex ordered, lazy paths first); the lazy paths are the idempotents.
+    Built by construct_algebra(); do not instantiate directly.
+    """
+
+    def __init__(self, name, field, quiver, basis, table, relations, cutoff):
+        super().__init__(field, table,
+                         [unit_vector(field, len(basis), v) for v in range(quiver.n_vertices)],
+                         quiver.vertices)
+        self.name = name
+        self.quiver = quiver
+        self.basis = tuple(basis)
+        self.relations = tuple(relations)
+        self.cutoff = cutoff
+        index = {(p.source, p.arrows): i for i, p in enumerate(self.basis)}
+        for v in range(quiver.n_vertices):
+            assert self.basis[v] == Path(v, v, ()), "basis must start with the lazy paths"
+        self.arrow_basis_index = tuple(
+            index[(a.source, (ai,))] for ai, a in enumerate(quiver.arrows)
+        )
 
     # -- display / serialization -----------------------------------------
 
@@ -285,12 +284,6 @@ class BoundQuiverAlgebra:
             "dim": self.dim,
             "basis": [self.path_str(i) for i in range(self.dim)],
         }
-
-
-def _unit(field, n, i):
-    z = [field.zero] * n
-    z[i] = field.one
-    return tuple(z)
 
 
 def construct_algebra(name: str, field: Field, quiver: Quiver,
@@ -361,7 +354,7 @@ def construct_algebra(name: str, field: Field, quiver: Quiver,
                 k = index[(pt.source, pt.arrows)]
                 vec[k] = field.add(vec[k], c)
             span.add(tuple(vec))
-        if all(span.contains(_unit(field, n, index[(p.source, p.arrows)])) for p in level):
+        if all(span.contains(unit_vector(field, n, index[(p.source, p.arrows)])) for p in level):
             cutoff = d
             break
 
@@ -394,7 +387,7 @@ def construct_algebra(name: str, field: Field, quiver: Quiver,
         if p.length >= cutoff:
             return (field.zero,) * len(basis)
         i = index[(p.source, p.arrows)]
-        residue = nf_span.reduce(_unit(field, n_short, i))
+        residue = nf_span.reduce(unit_vector(field, n_short, i))
         out = [field.zero] * len(basis)
         for j, c in enumerate(residue):
             if not field.is_zero(c):
@@ -502,53 +495,6 @@ def loewy_length(algebra: BoundQuiverAlgebra) -> int:
 # Structure-constant algebras and re-presentation as a bound quiver
 
 
-class StructureAlgebra:
-    """An associative algebra given by structure constants over a fixed basis,
-    with a designated complete set of orthogonal idempotents."""
-
-    def __init__(self, field, dim, table, unit, idempotents, vertex_labels):
-        self.field = field
-        self.dim = dim
-        self.table = table
-        self.unit = tuple(unit)
-        self.idempotents = tuple(tuple(e) for e in idempotents)
-        self.vertex_labels = tuple(vertex_labels)
-
-    def zero_vec(self):
-        return (self.field.zero,) * self.dim
-
-    def unit_vec(self, i):
-        z = [self.field.zero] * self.dim
-        z[i] = self.field.one
-        return tuple(z)
-
-    def mul(self, u, v):
-        F = self.field
-        acc = [F.zero] * self.dim
-        for i, ci in enumerate(u):
-            if F.is_zero(ci):
-                continue
-            for j, cj in enumerate(v):
-                if F.is_zero(cj):
-                    continue
-                c = F.mul(ci, cj)
-                for k, ck in enumerate(self.table[i][j]):
-                    if not F.is_zero(ck):
-                        acc[k] = F.add(acc[k], F.mul(c, ck))
-        return tuple(acc)
-
-    def add(self, u, v):
-        F = self.field
-        return tuple(F.add(x, y) for x, y in zip(u, v))
-
-    def scale(self, c, u):
-        F = self.field
-        return tuple(F.mul(c, x) for x in u)
-
-    def is_zero_vec(self, u):
-        return all(self.field.is_zero(x) for x in u)
-
-
 def structure_radical(sa: StructureAlgebra) -> list[tuple]:
     """Radical as the kernel of the trace form of left multiplication.
 
@@ -564,32 +510,19 @@ def structure_radical(sa: StructureAlgebra) -> list[tuple]:
     n = sa.dim
     if n == 0:
         return []
-    lmats = []
+    # tr(L_i L_j) = sum over k, l of T[i][l][k] * T[j][k][l], where
+    # T[i][l][k] is the k-th coordinate of b_i * b_l
+    T = sa.table
+    entries = [[(l, k, c) for l in range(n) for k, c in enumerate(T[i][l])
+                if not F.is_zero(c)] for i in range(n)]
+    gram = [[F.zero] * n for _ in range(n)]
     for i in range(n):
-        cols = [sa.table[i][j] for j in range(n)]
-        lmats.append(Mat.from_rows(F, list(zip(*cols))))
-    gram_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = lmats[i].mul(lmats[j])
+        for j in range(i, n):
             tr = F.zero
-            for k in range(n):
-                tr = F.add(tr, prod.entry(k, k))
-            row.append(tr)
-        gram_rows.append(tuple(row))
-    return [tuple(v) for v in nullspace(Mat.from_rows(F, gram_rows))]
-
-
-def _coordinate_projection(field, dim, kernel_vectors, complement_vectors) -> list[tuple]:
-    """Rows extracting the complement coordinates from the decomposition
-    F^dim = span(kernel_vectors) (+) span(complement_vectors)."""
-    cols = list(kernel_vectors) + list(complement_vectors)
-    assert len(cols) == dim, "not a direct-sum decomposition"
-    inv = inverse(Mat.from_rows(field, list(zip(*cols))))
-    assert inv is not None, "kernel and complement do not span"
-    k = len(kernel_vectors)
-    return [tuple(inv.entry(r, c) for c in range(dim)) for r in range(k, dim)]
+            for l, k, c in entries[i]:
+                tr = F.add(tr, F.mul(c, T[j][k][l]))
+            gram[i][j] = gram[j][i] = tr
+    return [tuple(v) for v in nullspace(Mat.from_rows(F, gram))]
 
 
 def present_structure_as_bound_quiver(
@@ -607,7 +540,7 @@ def present_structure_as_bound_quiver(
     equality with ``sa`` certifies the presentation.
     """
     F = sa.field
-    nv = len(sa.idempotents)
+    nv = sa.n_vertices
     if sa.dim == 0:
         return construct_algebra(name, F, Quiver((), ()))
 
@@ -700,70 +633,47 @@ def present_structure_as_bound_quiver(
 # Quotients
 
 
-def _quotient_structure(algebra: BoundQuiverAlgebra, ideal: Ideal,
-                        keep_vertices: Sequence[int]) -> tuple[StructureAlgebra, list[int]]:
-    """Survivor basis of algebra/ideal with induced structure constants.
+def quotient_structure(sa: StructureAlgebra,
+                       ideal: Sequence[tuple]) -> tuple[StructureAlgebra, list[int]]:
+    """sa modulo the two-sided ideal spanned by ``ideal``, with its survivors.
 
-    Survivors are chosen greedily in basis (deglex) order, so the earliest
-    path representing each coset survives; in particular the surviving lazy
-    paths are exactly the idempotents of ``keep_vertices``.
+    The survivors are the basis positions whose unit vectors, taken greedily
+    in basis order, complete the ideal; their images form the quotient basis.
+    The quotient's idempotents are the nonzero images of the idempotents of
+    ``sa``, with their labels.
     """
-    F = algebra.field
-    n = algebra.dim
-    probe = Span(F, n, col_order=list(range(n - 1, -1, -1)))
-    for v in ideal.basis_vectors():
-        probe.add(v)
-    survivors = [i for i in range(n) if probe.add(algebra.unit_vec(i))]
+    F = sa.field
+    span = Span(F, sa.dim)
+    for v in ideal:
+        span.add(v)
+    survivors = complement_positions(span)
     k = len(survivors)
-    proj_rows = _coordinate_projection(
-        F, n, ideal.basis_vectors(), [algebra.unit_vec(i) for i in survivors]
-    )
-
-    def project(vec):
-        out = []
-        for row in proj_rows:
-            acc = F.zero
-            for c, x in zip(row, vec):
-                if not F.is_zero(c) and not F.is_zero(x):
-                    acc = F.add(acc, F.mul(c, x))
-            out.append(acc)
-        return tuple(out)
-
-    table = tuple(
-        tuple(project(algebra.mul(algebra.unit_vec(si), algebra.unit_vec(sj)))
-              for sj in survivors)
-        for si in survivors
-    )
-    surviving_lazy = [i for i in survivors if algebra.basis[i].length == 0]
-    assert [algebra.basis[i].source for i in surviving_lazy] == list(keep_vertices), \
-        "surviving idempotents disagree with the expected vertex set"
-    idempotents = []
-    unit = [F.zero] * k
-    for i in surviving_lazy:
-        pos = survivors.index(i)
-        e = [F.zero] * k
-        e[pos] = F.one
-        unit[pos] = F.one
-        idempotents.append(tuple(e))
-    labels = tuple(algebra.quiver.vertices[v] for v in keep_vertices)
-    return StructureAlgebra(F, k, table, tuple(unit), idempotents, labels), survivors
+    coords = coordinates(F, span.basis() + [sa.unit_vec(i) for i in survivors],
+                         [sa.table[i][j] for i in survivors for j in survivors]
+                         + list(sa.idempotents))
+    images = [c[span.dim:] for c in coords]
+    table = tuple(tuple(images[a * k:(a + 1) * k]) for a in range(k))
+    kept = [(e, lab) for e, lab in zip(images[k * k:], sa.vertex_labels)
+            if not sa.is_zero_vec(e)]
+    quot = StructureAlgebra(F, table, [e for e, _ in kept], [lab for _, lab in kept])
+    return quot, survivors
 
 
-def _survivor_presentation(algebra, sa, survivors, vertex_pos, name):
-    F = algebra.field
-    old_to_pos = {i: pos for pos, i in enumerate(survivors)}
+def _survivor_presentation(algebra, ideal, name):
+    sa, survivors = quotient_structure(algebra, ideal.basis_vectors())
+    vertex_pos = {algebra.quiver.vertex_index(lab): pos
+                  for pos, lab in enumerate(sa.vertex_labels)}
     preferred = []
-    for i in survivors:
+    rad_vecs = []
+    for pos, i in enumerate(survivors):
         p = algebra.basis[i]
         if p.length == 1:
             label = algebra.quiver.arrows[p.arrows[0]].label
             preferred.append((label, vertex_pos[p.source], vertex_pos[p.target],
-                              sa.unit_vec(old_to_pos[i])))
-    rad_vecs = [sa.unit_vec(old_to_pos[i]) for i in survivors
-                if algebra.basis[i].length >= 1]
-    out = present_structure_as_bound_quiver(sa, name, preferred, rad_vecs)
-    out.quotient_survivors = tuple(survivors)
-    return out
+                              sa.unit_vec(pos)))
+        if p.length >= 1:
+            rad_vecs.append(sa.unit_vec(pos))
+    return present_structure_as_bound_quiver(sa, name, preferred, rad_vecs)
 
 
 def factor_algebra(algebra: BoundQuiverAlgebra, ideal: Ideal,
@@ -782,11 +692,7 @@ def factor_algebra(algebra: BoundQuiverAlgebra, ideal: Ideal,
             )
     if ideal.dim == 0:
         return algebra
-    name = name or f"{algebra.name}/I"
-    keep = list(range(algebra.n_vertices))
-    sa, survivors = _quotient_structure(algebra, ideal, keep)
-    return _survivor_presentation(algebra, sa, survivors,
-                                  {v: v for v in keep}, name)
+    return _survivor_presentation(algebra, ideal, name or f"{algebra.name}/I")
 
 
 def delete_vertices(algebra: BoundQuiverAlgebra, labels: Sequence[str],
@@ -808,6 +714,4 @@ def delete_vertices(algebra: BoundQuiverAlgebra, labels: Sequence[str],
     if not keep:
         return construct_algebra(name, algebra.field, Quiver((), ()))
     ideal = Ideal.from_generators(algebra, [algebra.idempotent(v) for v in dead])
-    sa, survivors = _quotient_structure(algebra, ideal, keep)
-    return _survivor_presentation(algebra, sa, survivors,
-                                  {old: new for new, old in enumerate(keep)}, name)
+    return _survivor_presentation(algebra, ideal, name)

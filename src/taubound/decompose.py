@@ -23,11 +23,11 @@ from typing import Optional, Sequence
 
 from sympy import Poly, Rational, Symbol
 
-from .algebra import StructureAlgebra, _coordinate_projection, structure_radical
+from .algebra import StructureAlgebra, quotient_structure, structure_radical
 from .endo import end_structure
 from .exceptions import CertificationError
 from .fields import PrimeField
-from .linalg import Mat, Span, is_invertible, solve
+from .linalg import Span, coordinates, is_invertible
 from .reps import (ModMap, Rep, direct_sum, hom_basis, identity_map, image,
                    projective, simple, zero_map)
 
@@ -61,18 +61,15 @@ def _minimal_polynomial(sa: StructureAlgebra, x: tuple) -> list:
     """Monic minimal polynomial of x, as coefficients low -> high."""
     F = sa.field
     span = Span(F, sa.dim)
-    powers = [sa.unit]
-    span.add(sa.unit)
-    cur = sa.unit
+    cur = sa.unit()
+    powers = [cur]
+    span.add(cur)
     while True:
         cur = sa.mul(cur, x)
         if not span.add(cur):
             break
         powers.append(cur)
-    m = len(powers)
-    mat = Mat(F, sa.dim, m, [[powers[j][i] for j in range(m)] for i in range(sa.dim)])
-    coeffs = solve(mat, cur)
-    assert coeffs is not None
+    coeffs = coordinates(F, powers, [cur])[0]
     out = [F.neg(c) for c in coeffs]
     out.append(F.one)
     return out
@@ -99,10 +96,9 @@ def _from_sympy_coeffs(field, poly: Poly) -> list:
 
 
 def _horner(sa: StructureAlgebra, coeffs_low_high, x: tuple) -> tuple:
-    F = sa.field
     acc = sa.zero_vec()
     for c in reversed(coeffs_low_high):
-        acc = sa.add(sa.mul(acc, x), sa.scale(c, sa.unit))
+        acc = sa.add(sa.mul(acc, x), sa.scale(c, sa.unit()))
     return acc
 
 
@@ -130,46 +126,13 @@ def _crt_idempotent(sa: StructureAlgebra, x: tuple) -> Optional[tuple]:
     coeffs = _from_sympy_coeffs(F, ebar_poly)
     e = _horner(sa, coeffs, x)
     assert tuple(sa.mul(e, e)) == tuple(e), "CRT element is not idempotent"
-    if sa.is_zero_vec(e) or e == sa.unit:
+    if sa.is_zero_vec(e) or e == sa.unit():
         return None
     return e
 
 
 # ---------------------------------------------------------------------------
 # The semisimple quotient of End(M) and idempotent lifting
-
-
-def _semisimple_quotient(sa: StructureAlgebra, rad_vecs: Sequence[tuple]):
-    """(quotient StructureAlgebra, section vectors, projection function)."""
-    F = sa.field
-    probe = Span(F, sa.dim)
-    for v in rad_vecs:
-        probe.add(v)
-    section_pos = []
-    for i in range(sa.dim):
-        if probe.add(sa.unit_vec(i)):
-            section_pos.append(i)
-    k = len(section_pos)
-    sections = [sa.unit_vec(i) for i in section_pos]
-    proj_rows = _coordinate_projection(F, sa.dim, list(rad_vecs), sections)
-
-    def project(vec):
-        out = []
-        for row in proj_rows:
-            acc = F.zero
-            for c, xv in zip(row, vec):
-                if not F.is_zero(c) and not F.is_zero(xv):
-                    acc = F.add(acc, F.mul(c, xv))
-            out.append(acc)
-        return tuple(out)
-
-    table = tuple(
-        tuple(project(sa.mul(sections[i], sections[j])) for j in range(k))
-        for i in range(k)
-    )
-    unit = project(sa.unit)
-    quot = StructureAlgebra(F, k, table, unit, [unit], ("s",))
-    return quot, sections, project
 
 
 def _lift_idempotent(sa: StructureAlgebra, e0: tuple) -> tuple:
@@ -195,7 +158,7 @@ def _splitting_idempotent(sa: StructureAlgebra, maps: Sequence[ModMap],
     dimensional (certified indecomposable).  Raises CertificationError when
     End/rad is bigger but no splitting idempotent can be certified."""
     F = sa.field
-    quot, sections, project = _semisimple_quotient(sa, rad_vecs)
+    quot, survivors = quotient_structure(sa, rad_vecs)
     if quot.dim == 1:
         return None
     candidates = [quot.unit_vec(i) for i in range(quot.dim)]
@@ -206,11 +169,11 @@ def _splitting_idempotent(sa: StructureAlgebra, maps: Sequence[ModMap],
         if ebar is None:
             continue
         # section back to End(M) and lift through the radical
-        e0 = sa.zero_vec()
-        for c, sec in zip(ebar, sections):
-            e0 = sa.add(e0, sa.scale(c, sec))
-        e = _lift_idempotent(sa, e0)
-        assert not sa.is_zero_vec(e) and e != sa.unit
+        e0 = list(sa.zero_vec())
+        for c, i in zip(ebar, survivors):
+            e0[i] = c
+        e = _lift_idempotent(sa, tuple(e0))
+        assert not sa.is_zero_vec(e) and e != sa.unit()
         out = None
         for c, m in zip(e, maps):
             term = m.scale(c)

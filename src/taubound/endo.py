@@ -19,24 +19,8 @@ from .algebra import (BoundQuiverAlgebra, Quiver, StructureAlgebra,
                       loewy_length, present_structure_as_bound_quiver,
                       radical, structure_radical)
 from .exceptions import CertificationError, InputError
-from .linalg import Mat, Span, solve
+from .linalg import Span, coordinates, unit_vector
 from .reps import ModMap, Rep, hom_basis, identity_map, projective_dimension, simple
-
-
-def _coords_solver(field, vectors: Sequence[tuple]):
-    """Coordinate extraction against a fixed independent list of vectors."""
-    if not vectors:
-        return lambda v: ()
-    n = len(vectors[0])
-    mat = Mat(field, n, len(vectors),
-              [[vectors[j][i] for j in range(len(vectors))] for i in range(n)])
-
-    def coords(vec):
-        sol = solve(mat, vec)
-        assert sol is not None, "vector outside the spanned block"
-        return sol
-
-    return coords
 
 
 def end_structure(rep: Rep) -> tuple[StructureAlgebra, list[ModMap]]:
@@ -45,17 +29,13 @@ def end_structure(rep: Rep) -> tuple[StructureAlgebra, list[ModMap]]:
     F = rep.algebra.field
     basis = hom_basis(rep, rep)
     if not basis:
-        sa = StructureAlgebra(F, 0, (), (), (), ())
-        return sa, []
-    coords = _coords_solver(F, [b.vectorize() for b in basis])
+        return StructureAlgebra(F, (), (), ()), []
     k = len(basis)
-    table = tuple(
-        tuple(coords(basis[i].compose(basis[j]).vectorize()) for j in range(k))
-        for i in range(k)
-    )
-    unit = coords(identity_map(rep).vectorize())
-    sa = StructureAlgebra(F, k, table, unit, [unit], ("1",))
-    return sa, basis
+    coords = coordinates(F, [b.vectorize() for b in basis],
+                         [bi.compose(bj).vectorize() for bi in basis for bj in basis]
+                         + [identity_map(rep).vectorize()])
+    table = tuple(tuple(coords[i * k:(i + 1) * k]) for i in range(k))
+    return StructureAlgebra(F, table, [coords[-1]], ("1",)), basis
 
 
 @dataclass
@@ -111,38 +91,26 @@ def endo_algebra(summands: Sequence[Rep],
             block_of.extend([(u, v)] * len(homs))
             block_range[(u, v)] = (start, len(basis_maps))
 
+    # products b_i b_j are nonzero only when the blocks chain; each lands in
+    # the block (u_i, v_j) and is solved for there, all of a block at once
     dim = len(basis_maps)
-    solvers = {}
-    for key, (s, e) in block_range.items():
-        solvers[key] = _coords_solver(F, [basis_maps[i].vectorize() for i in range(s, e)])
-
-    zero_row = (F.zero,) * dim
-    table = []
+    landing: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i in range(dim):
-        ui, vi = block_of[i]
-        row = []
         for j in range(dim):
-            uj, vj = block_of[j]
-            if uj != vi:
-                row.append(zero_row)
-                continue
-            prod = basis_maps[i].compose(basis_maps[j])
-            s, e = block_range[(ui, vj)]
-            local = solvers[(ui, vj)](prod.vectorize())
+            if block_of[i][1] == block_of[j][0]:
+                landing.setdefault((block_of[i][0], block_of[j][1]), []).append((i, j))
+    table = [[(F.zero,) * dim] * dim for _ in range(dim)]
+    for key, pairs in landing.items():
+        s, e = block_range[key]
+        coords = coordinates(F, [basis_maps[k].vectorize() for k in range(s, e)],
+                             [basis_maps[i].compose(basis_maps[j]).vectorize()
+                              for i, j in pairs])
+        for (i, j), local in zip(pairs, coords):
             out = [F.zero] * dim
-            for k, c in enumerate(local):
-                out[s + k] = c
-            row.append(tuple(out))
-        table.append(tuple(row))
-
-    unit = [F.zero] * dim
-    idempotents = []
-    for u in range(t):
-        e = [F.zero] * dim
-        e[diag_offsets[u]] = F.one
-        unit[diag_offsets[u]] = F.one
-        idempotents.append(tuple(e))
-    sa = StructureAlgebra(F, dim, tuple(table), tuple(unit), idempotents, labels)
+            out[s:e] = local
+            table[i][j] = tuple(out)
+    idempotents = [unit_vector(F, dim, diag_offsets[u]) for u in range(t)]
+    sa = StructureAlgebra(F, tuple(tuple(row) for row in table), idempotents, labels)
     return EndoAlgebra(sa, tuple(summands), tuple(basis_maps),
                        tuple(block_of), tuple(diag_offsets))
 
@@ -173,10 +141,8 @@ def quiver_presentation(endo: EndoAlgebra, name: str = "End") -> BoundQuiverAlge
                   for j in range(m))
             for i in range(m)
         )
-        local_unit = [F.zero] * m
-        local_unit[0] = F.one  # id_{T_u} is the first element of its block
-        sub = StructureAlgebra(F, m, sub_table, tuple(local_unit),
-                               [tuple(local_unit)], ("x",))
+        # id_{T_u} is the first element of its block
+        sub = StructureAlgebra(F, sub_table, [unit_vector(F, m, 0)], ("x",))
         local_rad = structure_radical(sub)
         if m - len(local_rad) != 1:
             raise CertificationError(

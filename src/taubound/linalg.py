@@ -8,7 +8,7 @@ so reduced forms, kernels and solution choices are canonical.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .fields import Field
 
@@ -239,6 +239,43 @@ def solve(mat: Mat, rhs: Sequence) -> Optional[tuple]:
     return tuple(x)
 
 
+def coordinates(field: Field, basis: Sequence[Sequence],
+                targets: Sequence[Sequence]) -> list[tuple]:
+    """Coordinates of every target against the vectors in ``basis``.
+
+    One row reduction of [basis | targets]; free variables are set to zero
+    as in solve.  Raises ValueError when a target lies outside the span.
+    """
+    if not targets:
+        return []
+    nb = len(basis)
+    n = len(targets[0])
+    cols = list(basis) + list(targets)
+    reduced, pivots = rref(Mat(field, n, len(cols), [[c[i] for c in cols] for i in range(n)]))
+    if pivots and pivots[-1] >= nb:
+        raise ValueError("coordinates: a target lies outside the spanned block")
+    out = []
+    for j in range(nb, len(cols)):
+        x = [field.zero] * nb
+        for row, pc in zip(reduced.rows, pivots):
+            x[pc] = row[j]
+        out.append(tuple(x))
+    return out
+
+
+def unit_vector(field: Field, n: int, i: int) -> tuple:
+    z = [field.zero] * n
+    z[i] = field.one
+    return tuple(z)
+
+
+def complement_positions(span: "Span") -> list[int]:
+    """Positions whose unit vectors, added greedily in order, complete
+    ``span`` to the whole space."""
+    probe = span.copy()
+    return [i for i in range(span.n) if probe.add(unit_vector(span.field, span.n, i))]
+
+
 def inverse(mat: Mat) -> Optional[Mat]:
     if mat.nrows != mat.ncols:
         return None
@@ -321,10 +358,6 @@ class Span:
         self.pivots = [p for p, _ in paired]
         self.rows = [r for _, r in paired]
         return True
-
-    def add_all(self, vecs: Iterable[Sequence]) -> None:
-        for v in vecs:
-            self.add(v)
 
     def basis(self) -> list[tuple]:
         return list(self.rows)

@@ -206,30 +206,27 @@ class IsoRegistry:
             self._intern(projective(algebra, v), f"P({lab})")
             self._intern(simple(algebra, v), f"S({lab})")
 
-    def _intern(self, rep: Rep, name: str):
+    def _intern(self, rep: Rep, name: Optional[str]) -> str:
+        """The name of rep's class; an unseen class is recorded under
+        ``name``, or under a fresh dimension-vector name when that is None."""
         fp = fingerprint(rep)
         for fp0, rep0, name0 in self._entries:
             if fp0 == fp and iso_test(rep, rep0, seed=self.seed).isomorphic:
                 return name0
+        if name is None:
+            base = "M(" + ",".join(str(d) for d in rep.dims) + ")"
+            name = base
+            k = 1
+            while name in self._names:
+                k += 1
+                name = f"{base}#{k}"
         assert name not in self._names
         self._entries.append((fp, rep, name))
         self._names.add(name)
         return name
 
     def name_of(self, rep: Rep) -> str:
-        fp = fingerprint(rep)
-        for fp0, rep0, name0 in self._entries:
-            if fp0 == fp and iso_test(rep, rep0, seed=self.seed).isomorphic:
-                return name0
-        base = "M(" + ",".join(str(d) for d in rep.dims) + ")"
-        name = base
-        k = 1
-        while name in self._names:
-            k += 1
-            name = f"{base}#{k}"
-        self._entries.append((fp, rep, name))
-        self._names.add(name)
-        return name
+        return self._intern(rep, None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import BoundQuiverAlgebra, Ideal, Path, _coordinate_projection
+from .algebra import BoundQuiverAlgebra, Ideal, Path
 from .exceptions import InputError
-from .linalg import Mat, Span, nullspace, rank, solve
+from .linalg import (Mat, Span, complement_positions, coordinates, nullspace,
+                     rank, unit_vector)
 
 
 class Rep:
@@ -111,7 +112,7 @@ def projective(algebra: BoundQuiverAlgebra, v: int) -> Rep:
         rows = by_target[arr.target]
         m = [[F.zero] * len(cols) for _ in rows]
         for c, pi in enumerate(cols):
-            prod = A.mul_basis(pi, A.arrow_basis_index[ai])
+            prod = A.table[pi][A.arrow_basis_index[ai]]
             for r, qi in enumerate(rows):
                 m[r][c] = prod[qi]
         maps.append(Mat(F, len(rows), len(cols), m))
@@ -141,7 +142,7 @@ def injective_rep(algebra: BoundQuiverAlgebra, v: int) -> Rep:
         rows = by_source[arr.target]
         m = [[F.zero] * len(cols) for _ in rows]
         for r, qi in enumerate(rows):
-            prod = A.mul_basis(A.arrow_basis_index[ai], qi)  # a * q
+            prod = A.table[A.arrow_basis_index[ai]][qi]  # a * q
             for c, pi in enumerate(cols):
                 m[r][c] = prod[pi]
         maps.append(Mat(F, len(rows), len(cols), m))
@@ -276,41 +277,39 @@ def hom_dim(M: Rep, N: Rep) -> int:
 # Kernels, cokernels, images
 
 
-def kernel(f: ModMap) -> tuple[Rep, ModMap]:
-    M = f.source
+def _columns(mat: Mat) -> tuple:
+    return mat.transpose().rows
+
+
+def _from_columns(field, nrows: int, cols: Sequence[Sequence]) -> Mat:
+    return Mat(field, nrows, len(cols), [[c[i] for c in cols] for i in range(nrows)])
+
+
+def _subrep(M: Rep, bases: Sequence[Sequence[tuple]]) -> tuple[Rep, ModMap]:
+    """The submodule of M spanned by ``bases[v]`` at each vertex v, which
+    must be arrow-stable, with its inclusion into M."""
     A = M.algebra
     F = A.field
-    incl_blocks = []
-    kdims = []
-    for v in range(A.n_vertices):
-        basis = nullspace(f.blocks[v])
-        kdims.append(len(basis))
-        incl_blocks.append(Mat(F, M.dims[v], len(basis),
-                               [[b[i] for b in basis] for i in range(M.dims[v])]))
-    kmaps = []
+    incl_blocks = [_from_columns(F, M.dims[v], bases[v]) for v in range(A.n_vertices)]
+    dims = [len(b) for b in bases]
+    maps = []
     for ai, arr in enumerate(A.quiver.arrows):
         u, v = arr.source, arr.target
-        rhs = M.maps[ai].mul(incl_blocks[u])
-        cols = []
-        for j in range(kdims[u]):
-            col = solve(incl_blocks[v], [rhs.entry(i, j) for i in range(rhs.nrows)])
-            assert col is not None, "kernel is not arrow-stable"
-            cols.append(col)
-        kmaps.append(Mat(F, kdims[v], kdims[u],
-                         [[cols[j][i] for j in range(kdims[u])] for i in range(kdims[v])]))
-    K = Rep(A, kdims, kmaps, check=False)
-    return K, ModMap(K, M, incl_blocks, check=False)
+        moved = _columns(M.maps[ai].mul(incl_blocks[u]))
+        maps.append(_from_columns(F, dims[v], coordinates(F, bases[v], moved)))
+    S = Rep(A, dims, maps, check=False)
+    return S, ModMap(S, M, incl_blocks, check=False)
 
 
-def _complement_positions(F, dim, spanned: Span) -> list[int]:
-    out = []
-    probe = spanned.copy()
-    for i in range(dim):
-        unit = [F.zero] * dim
-        unit[i] = F.one
-        if probe.add(tuple(unit)):
-            out.append(i)
-    return out
+def kernel(f: ModMap) -> tuple[Rep, ModMap]:
+    return _subrep(f.source, [nullspace(b) for b in f.blocks])
+
+
+def _column_span(mat: Mat) -> Span:
+    span = Span(mat.field, mat.nrows)
+    for col in _columns(mat):
+        span.add(col)
+    return span
 
 
 def cokernel(f: ModMap) -> tuple[Rep, ModMap]:
@@ -319,70 +318,30 @@ def cokernel(f: ModMap) -> tuple[Rep, ModMap]:
     F = A.field
     proj_blocks = []
     sect_blocks = []
-    cdims = []
     for v in range(A.n_vertices):
-        img = Span(F, N.dims[v])
-        for j in range(f.blocks[v].ncols):
-            img.add(tuple(f.blocks[v].entry(i, j) for i in range(f.blocks[v].nrows)))
-        chosen = _complement_positions(F, N.dims[v], img)
-        cdims.append(len(chosen))
-        units = []
-        for i in chosen:
-            u = [F.zero] * N.dims[v]
-            u[i] = F.one
-            units.append(tuple(u))
-        sect_blocks.append(Mat(F, N.dims[v], len(chosen),
-                               [[u[i] for u in units] for i in range(N.dims[v])]))
-        rows = (_coordinate_projection(F, N.dims[v], img.basis(), units)
-                if N.dims[v] else [])
-        proj_blocks.append(Mat(F, len(chosen), N.dims[v], [list(r) for r in rows]))
+        n = N.dims[v]
+        img = _column_span(f.blocks[v])
+        units = [unit_vector(F, n, i) for i in complement_positions(img)]
+        sect_blocks.append(_from_columns(F, n, units))
+        # column i: the complement coordinates of the i-th unit vector
+        coords = coordinates(F, img.basis() + units, [unit_vector(F, n, i) for i in range(n)])
+        proj_blocks.append(_from_columns(F, len(units), [c[img.dim:] for c in coords]))
     cmaps = []
     for ai, arr in enumerate(A.quiver.arrows):
         u, v = arr.source, arr.target
         cmaps.append(proj_blocks[v].mul(N.maps[ai]).mul(sect_blocks[u]))
-    C = Rep(A, cdims, cmaps, check=False)
+    C = Rep(A, [b.ncols for b in sect_blocks], cmaps, check=False)
     return C, ModMap(N, C, proj_blocks, check=False)
 
 
 def image(f: ModMap) -> tuple[Rep, ModMap, ModMap]:
     """Returns (Im f, inclusion Im -> target, corestriction source -> Im)."""
     M, N = f.source, f.target
-    A = N.algebra
-    F = A.field
-    incl_blocks = []
-    idims = []
-    for v in range(A.n_vertices):
-        img = Span(F, N.dims[v])
-        for j in range(f.blocks[v].ncols):
-            img.add(tuple(f.blocks[v].entry(i, j) for i in range(f.blocks[v].nrows)))
-        basis = img.basis()
-        idims.append(len(basis))
-        incl_blocks.append(Mat(F, N.dims[v], len(basis),
-                               [[b[i] for b in basis] for i in range(N.dims[v])]))
-    imaps = []
-    for ai, arr in enumerate(A.quiver.arrows):
-        u, v = arr.source, arr.target
-        rhs = N.maps[ai].mul(incl_blocks[u])
-        cols = []
-        for j in range(idims[u]):
-            col = solve(incl_blocks[v], [rhs.entry(i, j) for i in range(rhs.nrows)])
-            assert col is not None, "image is not arrow-stable"
-            cols.append(col)
-        imaps.append(Mat(F, idims[v], idims[u],
-                         [[cols[j][i] for j in range(idims[u])] for i in range(idims[v])]))
-    I = Rep(A, idims, imaps, check=False)
-    incl = ModMap(I, N, incl_blocks, check=False)
-    core_blocks = []
-    for v in range(A.n_vertices):
-        cols = []
-        for j in range(M.dims[v]):
-            col = solve(incl_blocks[v],
-                        [f.blocks[v].entry(i, j) for i in range(f.blocks[v].nrows)])
-            assert col is not None
-            cols.append(col)
-        core_blocks.append(Mat(F, idims[v], M.dims[v],
-                               [[cols[j][i] for j in range(M.dims[v])]
-                                for i in range(idims[v])]))
+    F = N.algebra.field
+    bases = [_column_span(b).basis() for b in f.blocks]
+    I, incl = _subrep(N, bases)
+    core_blocks = [_from_columns(F, I.dims[v], coordinates(F, bases[v], _columns(b)))
+                   for v, b in enumerate(f.blocks)]
     return I, incl, ModMap(M, I, core_blocks, check=False)
 
 
@@ -452,12 +411,10 @@ def projective_cover(M: Rep) -> Cover:
     for v in range(A.n_vertices):
         radspan = Span(F, M.dims[v])
         for ai, arr in enumerate(A.quiver.arrows):
-            if arr.target != v:
-                continue
-            blk = M.maps[ai]
-            for j in range(blk.ncols):
-                radspan.add(tuple(blk.entry(i, j) for i in range(blk.nrows)))
-        for i in _complement_positions(F, M.dims[v], radspan):
+            if arr.target == v:
+                for col in _columns(M.maps[ai]):
+                    radspan.add(col)
+        for i in complement_positions(radspan):
             gens.append((v, i))
     verts = tuple(v for v, _ in gens)
     summands = [projective(A, v) for v in verts]

@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from taubound.fields import QQ, PrimeField, default_prime_field
-from taubound.linalg import (Mat, Span, hstack, inverse, is_invertible,
-                             nullspace, rank, rref, solve, vstack)
+from taubound.linalg import (Mat, Span, coordinates, hstack, inverse,
+                             is_invertible, nullspace, rank, rref, solve,
+                             vstack)
 
 F = default_prime_field()
 
@@ -115,3 +116,38 @@ def test_solve_agrees_over_q(rows, vec):
     rhs = mq.apply([Fraction(x) for x in vec])
     sol = solve(mq, rhs)
     assert sol is not None and mq.apply(sol) == rhs
+
+
+@pytest.mark.parametrize("field", [F, QQ])
+@given(st.lists(st.lists(small_entries, min_size=4, max_size=4),
+                min_size=1, max_size=3),
+       st.lists(st.lists(small_entries, min_size=3, max_size=3),
+                min_size=1, max_size=4))
+def test_coordinates_reproduce_every_target(field, basis, combos):
+    basis = [tuple(field.of_int(x) for x in b) for b in basis]
+    targets = []
+    for combo in combos:
+        t = [field.zero] * 4
+        for c, b in zip(combo, basis):
+            t = [field.add(x, field.mul(field.of_int(c), y)) for x, y in zip(t, b)]
+        targets.append(tuple(t))
+    coords = coordinates(field, basis, targets)
+    assert len(coords) == len(targets)
+    cols = Mat.from_rows(field, basis).transpose()
+    for x, t in zip(coords, targets):
+        assert cols.apply(x) == t
+        # agrees with the one-target solver
+        assert solve(cols, t) == x
+
+
+@pytest.mark.parametrize("field", [F, QQ])
+def test_coordinates_refuse_a_target_outside_the_span(field):
+    one, zero = field.one, field.zero
+    basis = [(one, zero, zero), (zero, one, zero)]
+    inside = (field.of_int(2), field.of_int(3), zero)
+    assert coordinates(field, basis, [inside]) == [(field.of_int(2), field.of_int(3))]
+    with pytest.raises(ValueError):
+        coordinates(field, basis, [inside, (zero, zero, one)])
+    with pytest.raises(ValueError):
+        coordinates(field, [], [(zero, one, zero)])
+    assert coordinates(field, [], [(zero, zero, zero)]) == [()]

@@ -8,6 +8,7 @@ import pytest
 
 from taubound import InputError
 from taubound.algebra import loewy_length
+from taubound.endo import derdim_estimate
 from taubound.mutation import enumerate_stt
 from taubound.reports import (canonical_json, derdim_bound_report,
                               export_graph_dot, export_graph_json,
@@ -118,6 +119,9 @@ def test_tight_report(arrow_loop, known_registry):
     assert rep.loewy_rhs == loewy_length(A) - 1 == 1
     assert rep.status == "tight"
     assert "tight" in rep.summary_line()
+    # the left side is derdim(A), not derdim(A/ann M): the quotient has 0
+    C, _, _ = quotient_by_annihilator(A, direct_sum(A, [projective(A, 0), simple(A, 0)]).rep)
+    assert derdim_estimate(C, known_registry).value == 0 and rep.lhs.value == 1
 
 
 def test_satisfied_report(arrow_loop, known_registry):
