@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Scalar = Union[int, Fraction]
-
 
 class FieldError(ValueError):
     pass
@@ -170,35 +168,3 @@ QQ = RationalField()
 
 def default_prime_field() -> PrimeField:
     return PrimeField(DEFAULT_PRIME)
-
-
-def parse_field(spec: str) -> Field:
-    """Parse a field declaration such as ``Fp 32003`` or ``Q``."""
-    parts = spec.split()
-    if parts == ["Q"]:
-        return QQ
-    if len(parts) == 2 and parts[0] == "Fp":
-        try:
-            p = int(parts[1])
-        except ValueError as exc:
-            raise FieldError(f"bad prime in field declaration: {spec!r}") from exc
-        return PrimeField(p)
-    raise FieldError(f"unknown field declaration: {spec!r}")
-
-
-def parse_scalar(field: Field, token: str) -> Scalar:
-    """Parse an integer or a/b literal into a field element."""
-    token = token.strip()
-    if "/" in token:
-        num_s, den_s = token.split("/", 1)
-        try:
-            num, den = int(num_s), int(den_s)
-        except ValueError as exc:
-            raise FieldError(f"bad scalar literal: {token!r}") from exc
-        if den == 0:
-            raise FieldError(f"zero denominator in scalar: {token!r}")
-        return field.of_fraction(num, den)
-    try:
-        return field.of_int(int(token))
-    except ValueError as exc:
-        raise FieldError(f"bad scalar literal: {token!r}") from exc

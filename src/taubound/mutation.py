@@ -25,7 +25,7 @@ from .exceptions import CertificationError, InputError
 from .linalg import Mat, Span, nullspace
 from .reps import (ModMap, Rep, cokernel, direct_sum, hom_basis, projective,
                    simple, zero_map, zero_rep)
-from .tau import SttPair, validate_stt_pair, classify_pair
+from .tau import SttPair, _classify_valid_pair, validate_stt_pair
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +346,12 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
                 key, new_key,
                 compact_label(registry.name_of(step.removed)), added))
 
+    # every node is already validated: the root above, the others by the
+    # certificate of the mutate_down that reached them
     nodes = []
     for key in order:
         pair, names = node_pairs[key]
-        cls = classify_pair(algebra, list(pair.summands), pair.support, seed=seed)
+        cls = _classify_valid_pair(algebra, pair.summands, pair.support)
         nodes.append(GraphNode(key, pair, names, cls))
     return ExchangeGraph(algebra, tuple(nodes), tuple(edges))
 

@@ -70,17 +70,14 @@ def _fail(path: str, lineno: int, msg: str):
 def _parse_scalar_token(field, tok: str, path: str, lineno: int):
     if not _NUM_RE.match(tok):
         _fail(path, lineno, f"bad scalar {tok!r}")
-    if "/" in tok:
-        num, den = tok.split("/")
-        frac = Fraction(int(num), int(den))
-    else:
-        frac = Fraction(int(tok))
-    if isinstance(field, PrimeField):
-        if frac.denominator == 1:
-            return field.of_int(frac.numerator)
-        return field.div(field.of_int(frac.numerator),
-                         field.of_int(frac.denominator))
-    return frac
+    num, _, den = tok.partition("/")
+    try:
+        frac = Fraction(int(num), int(den or 1))
+        return field.of_fraction(frac.numerator, frac.denominator)
+    except ZeroDivisionError:
+        _fail(path, lineno, f"bad scalar {tok!r}: zero denominator")
+    except FieldError as e:
+        _fail(path, lineno, f"bad scalar {tok!r}: {e}")
 
 
 def _parse_relation_expr(field, quiver: Quiver, expr: str, path: str,

@@ -29,11 +29,11 @@ from .algebra import (BoundQuiverAlgebra, delete_vertices, factor_algebra,
 from .decompose import decompose
 from .endo import (DerdimEstimate, DerdimRegistry, derdim_estimate,
                    endo_algebra, merge_estimates, quiver_presentation)
-from .exceptions import InputError
-from .mutation import ExchangeGraph, IsoRegistry, compact_label, enumerate_stt, pair_key
+from .mutation import (ExchangeGraph, GraphNode, IsoRegistry, _sorted_pair,
+                       enumerate_stt, pair_key)
 from .reps import (Rep, annihilator, direct_sum, ext1_dim,
                    projective_dimension, restrict_to_quotient)
-from .tau import classify_pair, validate_stt_pair
+from .tau import SttPair, classify_pair
 
 
 def canonical_json(payload) -> str:
@@ -210,7 +210,6 @@ class BoundReport:
 def derdim_bound_report(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
                         support: Optional[Sequence[int]] = None,
                         registry: Optional[DerdimRegistry] = None,
-                        names: Optional[Sequence[str]] = None,
                         seed: int = 0) -> BoundReport:
     """Verify the bound for one pair.  With support=None the support is
     inferred as the set of vertices where the module vanishes."""
@@ -220,18 +219,19 @@ def derdim_bound_report(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
             support = [v for v in range(algebra.n_vertices) if M0.dims[v] == 0]
         else:
             support = list(range(algebra.n_vertices))
-    val = validate_stt_pair(algebra, summands, support, seed=seed)
-    if not val.ok:
-        raise InputError("not a support tau-tilting pair: "
-                         + "; ".join(val.reasons))
     classification = classify_pair(algebra, summands, support, seed=seed)
-    if names is None:
-        reg = IsoRegistry(algebra, seed=seed)
-        names = [compact_label(reg.name_of(s)) for s in summands]
-    order = sorted(range(len(summands)), key=lambda i: names[i])
-    summands = [summands[i] for i in order]
-    names = [names[i] for i in order]
-    key = pair_key(names)
+    names, pair = _sorted_pair(IsoRegistry(algebra, seed=seed),
+                               SttPair(algebra, tuple(summands), tuple(support)))
+    return _node_report(GraphNode(pair_key(names), pair, names, classification),
+                        registry, seed)
+
+
+def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
+                 seed: int) -> BoundReport:
+    """The report on a pair that is already validated, named (summands in
+    name order) and classified."""
+    algebra, key, classification = node.pair.algebra, node.key, node.classification
+    summands, names = list(node.pair.summands), list(node.summand_names)
     loewy_rhs = loewy_length(algebra) - 1
 
     M = direct_sum(algebra, list(summands)).rep
@@ -299,14 +299,10 @@ def derdim_bound_report(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
 def graph_reports(algebra: BoundQuiverAlgebra,
                   registry: Optional[DerdimRegistry] = None,
                   seed: int = 0, max_nodes: int = 4096):
-    """Enumerate the exchange graph and report on every node."""
-    iso = IsoRegistry(algebra, seed=seed)
-    graph = enumerate_stt(algebra, max_nodes=max_nodes, seed=seed, registry=iso)
-    reports = []
-    for node in graph.nodes:
-        reports.append(derdim_bound_report(
-            algebra, list(node.pair.summands), list(node.pair.support),
-            registry=registry, names=list(node.summand_names), seed=seed))
+    """Enumerate the exchange graph and report on every node; the nodes
+    come validated, named and classified."""
+    graph = enumerate_stt(algebra, max_nodes=max_nodes, seed=seed)
+    reports = [_node_report(node, registry, seed) for node in graph.nodes]
     return graph, reports
 
 

@@ -23,7 +23,7 @@ from .decompose import decompose
 from .exceptions import InputError
 from .linalg import Mat
 from .reps import (ModMap, Presentation, Rep, direct_sum, hom_basis,
-                   injective_rep, kernel, minimal_presentation,
+                   injective_rep, is_faithful, kernel, minimal_presentation,
                    restrict_to_quotient, zero_rep)
 
 
@@ -217,12 +217,18 @@ def classify_pair(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
                   support: Sequence[int], seed: int = 0) -> str:
     """One of "zero", "tilting", "tau-tilting-not-tilting", "proper-support"
     for a valid support pair."""
-    from .reps import is_faithful
-
     val = validate_stt_pair(algebra, summands, support, seed=seed)
     if not val.ok:
         raise InputError("not a support tau-tilting pair: "
                          + "; ".join(val.reasons))
+    return _classify_valid_pair(algebra, summands, support)
+
+
+def _classify_valid_pair(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
+                         support: Sequence[int]) -> str:
+    """classify_pair for a pair already validated.  A valid pair's support
+    is fixed by its module half, so the support alone separates the zero
+    and proper-support pairs from the sincere ones."""
     support = _support_indices(algebra, support)
     if len(support) == algebra.n_vertices:
         return "zero"

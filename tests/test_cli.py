@@ -185,6 +185,17 @@ def test_exit_2_on_invalid_classify(capsys):
     assert "error: classify:" in err
 
 
+def test_exit_2_on_zero_denominator(capsys, tmp_path):
+    alg = tmp_path / "f7.alg"
+    alg.write_text("algebra f7\nfield Fp 7\nvertices 1 2\narrow a: 1 -> 2\n")
+    mod = tmp_path / "m.mod"
+    mod.write_text("module m over f7\ndims 1 1\nmap a = [[1/7]]\nend\n")
+    code, _, err = run(capsys, "rigid", "--algebra", str(alg),
+                       "--module", str(mod))
+    assert code == 2
+    assert "m.mod:3: bad scalar '1/7'" in err
+
+
 def test_exit_3_on_budget(capsys):
     code, _, err = run(capsys, "enumerate", "--algebra",
                        corpus_path("line3.alg"), "--max-nodes", "2")

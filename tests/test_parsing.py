@@ -110,6 +110,24 @@ def test_algebra_relation_errors():
         parse_algebra_text(base + "relation 3\n")
 
 
+@pytest.mark.parametrize("field,scalar", [
+    ("Q", "1/0"), ("Fp 7", "1/0"), ("Fp 7", "1/7"), ("Fp 7", "2/14"),
+])
+def test_algebra_bad_relation_scalar(field, scalar):
+    text = (f"algebra bad\nfield {field}\nvertices 1 2 3\n"
+            f"arrow a: 1 -> 2\narrow b: 2 -> 3\nrelation {scalar}*a*b\n")
+    with pytest.raises(InputError, match=r"<algebra>:6: bad scalar"):
+        parse_algebra_text(text)
+
+
+def test_fp_scalar_is_reduced_before_it_is_mapped():
+    # 7/14 = 1/2, whose denominator is a unit mod 7
+    A = parse_algebra_text("algebra half\nfield Fp 7\nvertices 1 2 3\n"
+                           "arrow a: 1 -> 2\narrow b: 2 -> 3\n"
+                           "relation 7/14*a*b\n")
+    assert A.relations[0][0][0] == 4
+
+
 def test_algebra_missing_headers():
     with pytest.raises(InputError, match="no algebra line"):
         parse_algebra_text("field Q\nvertices 1\n")
@@ -187,6 +205,10 @@ def test_module_respects_relations(arrow_loop):
      "stray text"),
     ("module m over arrow_loop\ndims 0 1\nmap beta = [[x]]\nend\n",
      "bad scalar"),
+    ("module m over arrow_loop\ndims 0 1\nmap beta = [[1/0]]\nend\n",
+     "bad scalar '1/0'"),
+    ("module m over arrow_loop\ndims 0 1\nmap beta = [[1/32003]]\nend\n",
+     "bad scalar '1/32003'"),
     ("module m over arrow_loop\ndims 0 1\nend\nmodule again\n",
      "text after 'end'"),
     ("module m over arrow_loop\ndims 0 1\nfrobnicate\nend\n",

@@ -15,6 +15,7 @@ from taubound.reports import (canonical_json, derdim_bound_report,
                               graph_reports, quotient_by_annihilator,
                               tilting_proxy_check)
 from taubound.reps import direct_sum, projective, simple, zero_rep
+from taubound.tau import classify_pair
 
 
 REG = {"arrow_loop": ("exact", 1), "line2": ("exact", 0),
@@ -201,6 +202,20 @@ def test_graph_reports_cover_all_nodes(arrow_loop, known_registry):
     ttnt = [r for r in reports
             if r.classification == "tau-tilting-not-tilting"]
     assert [r.key for r in ttnt] == ["P1+S1"]
+
+
+def test_graph_reports_agree_with_single_pair_reports(corpus_algebras,
+                                                     known_registry):
+    # graph_reports reuses each node's validation and classification;
+    # the single-pair path validates from scratch and must agree
+    for A in corpus_algebras.values():
+        graph, reports = graph_reports(A, registry=known_registry)
+        for node, report in zip(graph.nodes, reports):
+            summands = list(node.pair.summands)
+            alone = derdim_bound_report(A, summands, registry=known_registry)
+            assert alone.to_json_dict() == report.to_json_dict(), node.key
+            assert node.classification == classify_pair(
+                A, summands, node.pair.support), node.key
 
 
 def test_export_json_shape_and_determinism(arrow_loop):
