@@ -5,7 +5,7 @@ derived-dimension bound reports."""
 from .algebra import (Arrow, BoundQuiverAlgebra, Ideal, Quiver,
                       construct_algebra, delete_vertices, factor_algebra,
                       loewy_length, make_relation, radical)
-from .decompose import Decomposition, decompose, fingerprint, iso_test
+from .decompose import Decomposition, decompose, iso_test
 from .endo import (DerdimEstimate, derdim_estimate, dynkin_type, endo_algebra,
                    is_hereditary, merge_estimates, quiver_presentation)
 from .exceptions import CertificationError, InputError, TaubError
@@ -34,7 +34,7 @@ __all__ = [
     "Arrow", "BoundQuiverAlgebra", "Ideal", "Quiver", "construct_algebra",
     "delete_vertices", "factor_algebra", "loewy_length", "make_relation",
     "radical",
-    "Decomposition", "decompose", "fingerprint", "iso_test",
+    "Decomposition", "decompose", "iso_test",
     "DerdimEstimate", "derdim_estimate", "dynkin_type", "endo_algebra",
     "is_hereditary", "merge_estimates", "quiver_presentation",
     "CertificationError", "InputError", "TaubError",

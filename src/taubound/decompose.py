@@ -6,7 +6,14 @@ found there by factoring the minimal polynomial of a candidate element and
 applying the CRT, and the idempotent is lifted through the radical by the
 Newton iteration e <- 3e^2 - 2e^3.  Every split is certified on the nose:
 the leaf witnesses are orthogonal idempotent endomorphisms of the original
-module summing to the identity.
+module summing to the identity.  Only this idempotent search is randomized,
+by a generator seeded from ``seed`` and the dimension vector.
+
+Isomorphism is decided by the radical criterion, with no sampling: for
+indecomposable X and Y the non-isomorphisms X -> Y form the subspace
+rad(X, Y), which is proper when X ~= Y, so X ~= Y exactly when some element
+of any basis of Hom(X, Y) is invertible.  ``iso_test`` tries this on the
+whole modules first and otherwise matches their indecomposable summands.
 
 Over a too-small prime field (p <= dim End) the trace-form radical is not
 trustworthy, and an indecomposable module may have a non-split endomorphism
@@ -28,29 +35,12 @@ from .endo import end_structure
 from .exceptions import CertificationError
 from .fields import PrimeField
 from .linalg import Span, coordinates, is_invertible
-from .reps import (ModMap, Rep, direct_sum, hom_basis, identity_map, image,
-                   projective, simple, zero_map)
+from .reps import ModMap, Rep, hom_basis, identity_map, image, zero_map
 
 _T = Symbol("t")
 
 IDEMPOTENT_ATTEMPTS = 64
 LIFT_ITERATIONS = 64
-ISO_SAMPLES = 64
-ISO_EXTRA_SAMPLES = 512
-
-
-# ---------------------------------------------------------------------------
-# Quick isomorphism invariants
-
-
-def fingerprint(M: Rep) -> tuple:
-    """A cheap iso-invariant: dimension vector and Hom dimensions against
-    the projectives and simples."""
-    A = M.algebra
-    to_proj = tuple(len(hom_basis(M, projective(A, v))) for v in range(A.n_vertices))
-    to_simple = tuple(len(hom_basis(M, simple(A, v))) for v in range(A.n_vertices))
-    from_simple = tuple(len(hom_basis(simple(A, v), M)) for v in range(A.n_vertices))
-    return (M.dims, to_proj, to_simple, from_simple)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +255,7 @@ def decompose(M: Rep, seed: int = 0) -> Decomposition:
     for leaf in leaves:
         found = None
         for ci, rep0 in enumerate(class_reps):
-            if _indec_iso(leaf.rep, rep0, rng) is not None:
+            if _indec_iso(leaf.rep, rep0) is not None:
                 found = ci
                 break
         if found is None:
@@ -283,58 +273,18 @@ def decompose(M: Rep, seed: int = 0) -> Decomposition:
 # Isomorphism testing
 
 
-def _random_iso(M: Rep, N: Rep, rng: random.Random, tries: int) -> Optional[ModMap]:
-    if M.dims != N.dims:
+def _indec_iso(X: Rep, Y: Rep) -> Optional[ModMap]:
+    """The first element of hom_basis(X, Y) that is an isomorphism, or None.
+
+    For indecomposable X and Y this decides X ~= Y exactly: the
+    non-isomorphisms X -> Y form the proper subspace rad(X, Y) of Hom(X, Y)
+    when X ~= Y, so some basis element lies outside it."""
+    if X.dims != Y.dims:
         return None
-    if M.dim_total == 0:
-        return zero_map(M, N)
-    homs = hom_basis(M, N)
-    if not homs:
-        return None
-    F = M.algebra.field
-    for _ in range(tries):
-        cand = None
-        for h in homs:
-            term = h.scale(F.random_nonzero(rng))
-            cand = term if cand is None else cand.add(term)
-        if all(is_invertible(b) for b in cand.blocks):
-            return cand
+    for h in hom_basis(X, Y):
+        if all(is_invertible(b) for b in h.blocks):
+            return h
     return None
-
-
-def _end_split_dims(X: Rep, Y: Rep) -> tuple[int, int, int]:
-    """dims of End(X)/rad, End(Y)/rad and End(X+Y)/rad."""
-    sums = []
-    for rep in (X, Y, direct_sum(X.algebra, [X, Y]).rep):
-        sa, _ = end_structure(rep)
-        _check_field_size(rep.algebra.field, sa.dim)
-        sums.append(sa.dim - len(structure_radical(sa)))
-    return tuple(sums)
-
-
-def _indec_iso(X: Rep, Y: Rep, rng: random.Random) -> Optional[ModMap]:
-    """Certified iso test for modules already known indecomposable."""
-    if X.dims != Y.dims or fingerprint(X) != fingerprint(Y):
-        return None
-    cert = _random_iso(X, Y, rng, ISO_SAMPLES)
-    if cert is not None:
-        return cert
-    ex, ey, exy = _end_split_dims(X, Y)
-    if ex != 1 or ey != 1:
-        raise CertificationError(
-            "non-split endomorphism ring: an indecomposable summand has "
-            f"End/rad of dimension {max(ex, ey)}"
-        )
-    if exy == 2:
-        return None
-    assert exy == 4, f"unexpected End/rad dimension {exy} for a pair"
-    cert = _random_iso(X, Y, rng, ISO_EXTRA_SAMPLES)
-    if cert is None:
-        raise CertificationError(
-            "isomorphic indecomposables, but no invertible hom combination "
-            "was found within the sampling budget"
-        )
-    return cert
 
 
 @dataclass
@@ -346,17 +296,15 @@ class IsoResult:
 
 def iso_test(M: Rep, N: Rep, seed: int = 0) -> IsoResult:
     """Decide M ~= N with a certificate (an invertible ModMap) or a
-    structural refutation."""
-    rng = random.Random(f"iso:{seed}:{M.dims}:{N.dims}")
+    structural refutation.  ``seed`` feeds only the decompositions that
+    match indecomposable summands when no basis hom is invertible."""
     if M.dims != N.dims:
         return IsoResult(False, None, "dimension vectors differ")
-    if fingerprint(M) != fingerprint(N):
-        return IsoResult(False, None, "hom fingerprints differ")
     if M.dim_total == 0:
         return IsoResult(True, zero_map(M, N), "both modules are zero")
-    cert = _random_iso(M, N, rng, ISO_SAMPLES)
+    cert = _indec_iso(M, N)
     if cert is not None:
-        return IsoResult(True, cert, "random hom combination is invertible")
+        return IsoResult(True, cert, "a basis hom is invertible")
     dm = decompose(M, seed=seed)
     dn = decompose(N, seed=seed)
     if sorted(l.rep.dims for l in dm.leaves) != sorted(l.rep.dims for l in dn.leaves):
@@ -366,7 +314,7 @@ def iso_test(M: Rep, N: Rep, seed: int = 0) -> IsoResult:
     for ml in dm.leaves:
         matched = None
         for pos, j in enumerate(unused):
-            phi = _indec_iso(ml.rep, dn.leaves[j].rep, rng)
+            phi = _indec_iso(ml.rep, dn.leaves[j].rep)
             if phi is not None:
                 matched = (pos, j, phi)
                 break

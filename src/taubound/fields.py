@@ -77,9 +77,6 @@ class PrimeField:
     def random(self, rng) -> int:
         return rng.randrange(self.p)
 
-    def random_nonzero(self, rng) -> int:
-        return rng.randrange(1, self.p)
-
     def to_str(self, a: int) -> str:
         return str(a)
 
@@ -143,10 +140,6 @@ class RationalField:
 
     def random(self, rng) -> Fraction:
         return Fraction(rng.randrange(-8, 9))
-
-    def random_nonzero(self, rng) -> Fraction:
-        n = rng.randrange(1, 17)
-        return Fraction(n if rng.randrange(2) else -n)
 
     def to_str(self, a: Fraction) -> str:
         return str(a)

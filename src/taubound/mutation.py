@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import BoundQuiverAlgebra, structure_radical
-from .decompose import decompose, fingerprint, iso_test
+from .decompose import decompose, iso_test
 from .endo import end_structure
 from .exceptions import CertificationError, InputError
 from .linalg import Mat, Span, nullspace
@@ -192,14 +192,16 @@ def mutate_down(pair: SttPair, slot: int, seed: int = 0) -> MutationStep:
 
 
 class IsoRegistry:
-    """Stable names for iso classes of indecomposables: the projectives and
-    simples get their standard names, anything else is named by dimension
-    vector with a disambiguating suffix."""
+    """Stable names for iso classes of modules: the projectives and simples
+    get their standard names, anything else is named by dimension vector
+    with a disambiguating suffix.  Most names go to indecomposable summands,
+    but the ``tau`` subcommand also names tau(M), which need not be
+    indecomposable."""
 
     def __init__(self, algebra: BoundQuiverAlgebra, seed: int = 0):
         self.algebra = algebra
         self.seed = seed
-        self._entries: list[tuple[tuple, Rep, str]] = []  # (fingerprint, rep, name)
+        self._entries: list[tuple[Rep, str]] = []
         self._names: set[str] = set()
         for v in range(algebra.n_vertices):
             lab = algebra.quiver.vertices[v]
@@ -209,9 +211,9 @@ class IsoRegistry:
     def _intern(self, rep: Rep, name: Optional[str]) -> str:
         """The name of rep's class; an unseen class is recorded under
         ``name``, or under a fresh dimension-vector name when that is None."""
-        fp = fingerprint(rep)
-        for fp0, rep0, name0 in self._entries:
-            if fp0 == fp and iso_test(rep, rep0, seed=self.seed).isomorphic:
+        for rep0, name0 in self._entries:
+            if rep0.dims == rep.dims and \
+                    iso_test(rep, rep0, seed=self.seed).isomorphic:
                 return name0
         if name is None:
             base = "M(" + ",".join(str(d) for d in rep.dims) + ")"
@@ -221,7 +223,7 @@ class IsoRegistry:
                 k += 1
                 name = f"{base}#{k}"
         assert name not in self._names
-        self._entries.append((fp, rep, name))
+        self._entries.append((rep, name))
         self._names.add(name)
         return name
 

@@ -93,6 +93,7 @@ class TiltingProxyReport:
     presentations_match: Optional[bool]   # None when M = 0 (nothing to present)
     ok: bool
     notes: tuple[str, ...]
+    quotient: BoundQuiverAlgebra          # C itself; not part of the JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,7 +156,7 @@ def tilting_proxy_check(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
         match = None
         dim_a = dim_c = 0
     return TiltingProxyReport(C.name, C.dim, pd, ext, classes, C.n_vertices,
-                              dim_a, dim_c, match, ok, tuple(notes))
+                              dim_a, dim_c, match, ok, tuple(notes), C)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +257,7 @@ def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
     # transfer along the derived equivalence C ~ B
     proxy = tilting_proxy_check(algebra, summands, seed=seed)
     if proxy.ok:
-        C, _, _ = quotient_by_annihilator(algebra, M)
+        C = proxy.quotient
         est_c = derdim_estimate(C, registry)
         d_b = merge_estimates(
             d_b, DerdimEstimate(est_c.value, est_c.kind,
