@@ -13,7 +13,7 @@ Isomorphism is decided by the radical criterion, with no sampling: for
 indecomposable X and Y the non-isomorphisms X -> Y form the subspace
 rad(X, Y), which is proper when X ~= Y, so X ~= Y exactly when some element
 of any basis of Hom(X, Y) is invertible.  ``iso_test`` tries this on the
-whole modules first and otherwise matches their indecomposable summands.
+whole modules first; unless M is indecomposable it then matches summands.
 
 Over a too-small prime field (p <= dim End) the trace-form radical is not
 trustworthy, and an indecomposable module may have a non-split endomorphism
@@ -190,7 +190,6 @@ class Leaf:
 class Decomposition:
     module: Rep
     leaves: tuple[Leaf, ...]
-    class_of: tuple[int, ...]
     class_reps: tuple[Rep, ...]
     multiplicities: tuple[int, ...]
 
@@ -249,24 +248,17 @@ def decompose(M: Rep, seed: int = 0) -> Decomposition:
     if leaves:
         assert total == identity_map(M), "leaf witnesses do not sum to the identity"
 
-    class_of: list[int] = []
     class_reps: list[Rep] = []
     counts: list[int] = []
     for leaf in leaves:
-        found = None
         for ci, rep0 in enumerate(class_reps):
             if _indec_iso(leaf.rep, rep0) is not None:
-                found = ci
+                counts[ci] += 1
                 break
-        if found is None:
+        else:
             class_reps.append(leaf.rep)
             counts.append(1)
-            class_of.append(len(class_reps) - 1)
-        else:
-            counts[found] += 1
-            class_of.append(found)
-    return Decomposition(M, tuple(leaves), tuple(class_of),
-                         tuple(class_reps), tuple(counts))
+    return Decomposition(M, tuple(leaves), tuple(class_reps), tuple(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +298,8 @@ def iso_test(M: Rep, N: Rep, seed: int = 0) -> IsoResult:
     if cert is not None:
         return IsoResult(True, cert, "a basis hom is invertible")
     dm = decompose(M, seed=seed)
+    if len(dm.leaves) == 1:
+        return IsoResult(False, None, "indecomposable and no basis hom is invertible")
     dn = decompose(N, seed=seed)
     if sorted(l.rep.dims for l in dm.leaves) != sorted(l.rep.dims for l in dn.leaves):
         return IsoResult(False, None, "summand dimension multisets differ")

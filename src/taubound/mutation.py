@@ -10,6 +10,11 @@ breadth-first search using only down mutations visits the whole graph.
 
 Minimality of the approximation is certified on the nose: f: X -> Y is
 left minimal iff every endomorphism of Y killing f lies in rad End(Y).
+Nothing else about a valid pair is re-proved (Adachi-Iyama-Reiten 2014):
+a zero cokernel needs exactly one vertex outside the support where the
+rest vanishes (Lemma 2.1, Prop. 2.3); a nonzero cokernel must be
+indecomposable, new, and keep the module tau-rigid over A, which passes
+to the support quotient (Lemma 2.1).  By Thm 2.18 both always hold.
 """
 
 from __future__ import annotations
@@ -19,13 +24,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import BoundQuiverAlgebra, structure_radical
-from .decompose import decompose, iso_test
+from .decompose import _indec_iso, decompose, iso_test
 from .endo import end_structure
 from .exceptions import CertificationError, InputError
 from .linalg import Mat, Span, nullspace
 from .reps import (ModMap, Rep, cokernel, direct_sum, hom_basis, projective,
                    simple, zero_map, zero_rep)
-from .tau import SttPair, _classify_valid_pair, validate_stt_pair
+from .tau import SttPair, _classify_valid_pair, hom_to_tau, validate_stt_pair
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +149,8 @@ class MutationStep:
 
 def mutate_down(pair: SttPair, slot: int, seed: int = 0) -> MutationStep:
     """Exchange the module summand at ``slot`` downwards; requires that the
-    summand is not generated by the others."""
+    summand is not generated by the others, and that the listed summands
+    are the valid pair's indecomposable summands (``mutate`` checks this)."""
     A = pair.algebra
     if not (0 <= slot < len(pair.summands)):
         raise InputError(f"no module summand at slot {slot}")
@@ -157,20 +163,17 @@ def mutate_down(pair: SttPair, slot: int, seed: int = 0) -> MutationStep:
     f, _ = minimal_left_approximation(X, rest)
     C, _ = cokernel(f)
     if C.dim_total == 0:
+        # rest is tau-rigid with n - |support| - 1 indecomposable summands; two
+        # candidates would keep it so over n - |support| - 2 vertices (AIR 2.1)
         candidates = [v for v in range(A.n_vertices)
                       if v not in pair.support
                       and all(s.dims[v] == 0 for s in rest)]
-        hits = []
-        for v in candidates:
-            val = validate_stt_pair(A, rest, pair.support + (v,), seed=seed)
-            if val.ok:
-                hits.append(v)
-        if len(hits) != 1:
+        if len(candidates) != 1:
             raise CertificationError(
                 f"mutation failed certification: support completion is not "
-                f"unique ({len(hits)} candidate vertices)"
+                f"unique ({len(candidates)} candidate vertices)"
             )
-        v = hits[0]
+        v = candidates[0]
         new_pair = SttPair(A, tuple(rest), tuple(sorted(pair.support + (v,))))
         return MutationStep(new_pair, X, None, v)
     dec = decompose(C, seed=seed)
@@ -179,11 +182,14 @@ def mutate_down(pair: SttPair, slot: int, seed: int = 0) -> MutationStep:
             f"mutation failed certification: the exchange cokernel decomposed "
             f"into {dec.multiplicities} copies instead of one indecomposable"
         )
+    if any(_indec_iso(C, R) is not None for R in rest):
+        raise CertificationError("mutation failed certification: the exchange "
+                                 "cokernel is isomorphic to a remaining summand")
     new_pair = SttPair(A, tuple(rest) + (C,), pair.support)
-    val = validate_stt_pair(A, new_pair.summands, new_pair.support, seed=seed)
-    if not val.ok:
-        raise CertificationError("mutation failed certification: "
-                                 + "; ".join(val.reasons))
+    defect = hom_to_tau(new_pair.module())
+    if defect:
+        raise CertificationError("mutation failed certification: Hom(M, tau M) "
+                                 f"has dimension {defect}")
     return MutationStep(new_pair, X, C, None)
 
 
@@ -367,6 +373,8 @@ def mutate(pair: SttPair, slot: int, seed: int = 0,
     val = validate_stt_pair(A, pair.summands, pair.support, seed=seed)
     if not val.ok:
         raise InputError("cannot mutate an invalid pair: " + "; ".join(val.reasons))
+    if val.summand_classes != len(pair.summands):
+        raise InputError("cannot mutate a pair that lists a decomposable summand")
     n_mods = len(pair.summands)
     if 0 <= slot < n_mods:
         X = pair.summands[slot]

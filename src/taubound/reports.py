@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 
 from .algebra import (BoundQuiverAlgebra, delete_vertices, factor_algebra,
                       loewy_length)
-from .decompose import decompose
 from .endo import (DerdimEstimate, DerdimRegistry, derdim_estimate,
                    endo_algebra, merge_estimates, quiver_presentation)
 from .mutation import (ExchangeGraph, GraphNode, IsoRegistry, _sorted_pair,
@@ -111,12 +110,13 @@ class TiltingProxyReport:
         }
 
 
-def tilting_proxy_check(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
-                        seed: int = 0) -> TiltingProxyReport:
+def tilting_proxy_check(algebra: BoundQuiverAlgebra,
+                        summands: Sequence[Rep]) -> TiltingProxyReport:
     """Check that the direct sum of ``summands`` is a tilting module over
     its annihilator quotient C, and that End does not change under the
-    transport to C.  Works for any validated pair, including the empty one
-    (then C is the zero algebra and the checks hold vacuously)."""
+    transport to C.  The summands must be a valid pair's indecomposable,
+    pairwise non-isomorphic summands (none gives C = 0); as Hom_C = Hom_A
+    for C-modules, their number is the summand count over C."""
     notes: list[str] = []
     ok = True
     M = direct_sum(algebra, list(summands)).rep
@@ -130,7 +130,7 @@ def tilting_proxy_check(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
     if ext:
         ok = False
         notes.append(f"Ext^1(M, M) has dimension {ext} over {C.name}")
-    classes = len(decompose(MC, seed=seed).class_reps)
+    classes = len(summands)
     if classes != C.n_vertices:
         ok = False
         notes.append(f"{classes} summand classes over an algebra with "
@@ -224,16 +224,15 @@ def derdim_bound_report(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
     names, pair = _sorted_pair(IsoRegistry(algebra, seed=seed),
                                SttPair(algebra, tuple(summands), tuple(support)))
     return _node_report(GraphNode(pair_key(names), pair, names, classification),
-                        registry, seed)
+                        registry, loewy_length(algebra) - 1)
 
 
 def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
-                 seed: int) -> BoundReport:
+                 loewy_rhs: int) -> BoundReport:
     """The report on a pair that is already validated, named (summands in
-    name order) and classified."""
+    name order) and classified; ``loewy_rhs`` is Loewy length minus one."""
     algebra, key, classification = node.pair.algebra, node.key, node.classification
     summands, names = list(node.pair.summands), list(node.summand_names)
-    loewy_rhs = loewy_length(algebra) - 1
 
     M = direct_sum(algebra, list(summands)).rep
     ann = annihilator(M)
@@ -255,7 +254,7 @@ def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
 
     # M is tilting over C = A/ann(M); a certified re-check lets estimates
     # transfer along the derived equivalence C ~ B
-    proxy = tilting_proxy_check(algebra, summands, seed=seed)
+    proxy = tilting_proxy_check(algebra, summands)
     if proxy.ok:
         C = proxy.quotient
         est_c = derdim_estimate(C, registry)
@@ -303,7 +302,8 @@ def graph_reports(algebra: BoundQuiverAlgebra,
     """Enumerate the exchange graph and report on every node; the nodes
     come validated, named and classified."""
     graph = enumerate_stt(algebra, max_nodes=max_nodes, seed=seed)
-    reports = [_node_report(node, registry, seed) for node in graph.nodes]
+    loewy_rhs = loewy_length(algebra) - 1
+    reports = [_node_report(node, registry, loewy_rhs) for node in graph.nodes]
     return graph, reports
 
 

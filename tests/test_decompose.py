@@ -2,6 +2,7 @@
 and certifying isomorphism.
 """
 
+import importlib
 import itertools
 
 import pytest
@@ -160,6 +161,24 @@ def test_same_dims_indecomposables_iso_exactly_when_equal(nakayama3):
     assert all(P.dims == (1, 1, 1) for P in projs)
     for u, v in itertools.product(range(3), repeat=2):
         assert iso_test(projs[u], projs[v]).isomorphic == (u == v)
+
+
+def test_iso_refutes_an_indecomposable_with_one_decomposition(nakayama3,
+                                                              monkeypatch):
+    calls = []
+
+    def counting(M, seed=0):
+        calls.append(M.dims)
+        return decompose(M, seed=seed)
+
+    # the package re-exports the function under the module's name
+    module = importlib.import_module("taubound.decompose")
+    monkeypatch.setattr(module, "decompose", counting)
+    projs = [projective(nakayama3, v) for v in range(3)]
+    for u, v in itertools.permutations(range(3), 2):
+        calls.clear()
+        assert not iso_test(projs[u], projs[v]).isomorphic
+        assert len(calls) == 1
 
 
 def test_decompose_separates_same_dims_indecomposables(nakayama3):

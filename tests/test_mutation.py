@@ -10,13 +10,14 @@ import time
 
 import pytest
 
+import taubound.mutation
 from taubound import CertificationError, InputError
 from taubound.linalg import Mat
 from taubound.mutation import (IsoRegistry, SttPair, compact_label,
                                enumerate_stt, fac_contains,
                                minimal_left_approximation, mutate,
                                mutate_down, pair_key)
-from taubound.reps import Rep, cokernel, projective, simple
+from taubound.reps import Rep, cokernel, direct_sum, projective, simple
 from taubound.reports import export_graph_json
 from taubound.tau import validate_stt_pair
 
@@ -230,6 +231,37 @@ def test_mutate_down_certifies(arrow_loop):
     step = mutate_down(root, 1)      # swap P(2) for S(1)
     assert step.added is not None and step.added.dims == (1, 0)
     assert key_of(step.pair) == "P1+S1"
+
+
+def test_mutate_refuses_a_decomposable_listed_summand(arrow_loop):
+    A = arrow_loop
+    both = direct_sum(A, [projective(A, 0), projective(A, 1)]).rep
+    with pytest.raises(InputError, match="decomposable"):
+        mutate(SttPair(A, (both,), ()), 0)
+
+
+def test_mutate_down_refuses_a_non_unique_support_completion(line3):
+    # the rest is empty and vanishes at all three vertices
+    with pytest.raises(CertificationError, match="not unique"):
+        mutate_down(SttPair(line3, (projective(line3, 0),), ()), 0)
+
+
+def test_enumeration_validates_only_the_root(corpus_algebras, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return validate_stt_pair(*args, **kwargs)
+
+    monkeypatch.setattr(taubound.mutation, "validate_stt_pair", counting)
+    for A in corpus_algebras.values():
+        calls.clear()
+        g = enumerate_stt(A)
+        assert len(calls) == 1
+        # the whole-pair check stays a reference for every node
+        for node in g.nodes:
+            assert validate_stt_pair(A, node.pair.summands,
+                                     node.pair.support).ok, (A.name, node.key)
 
 
 # ---------------------------------------------------------------------------

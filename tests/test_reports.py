@@ -8,6 +8,7 @@ import pytest
 
 from taubound import InputError
 from taubound.algebra import loewy_length
+from taubound.decompose import decompose
 from taubound.endo import derdim_estimate
 from taubound.mutation import enumerate_stt
 from taubound.reports import (canonical_json, derdim_bound_report,
@@ -99,6 +100,8 @@ def test_proxy_passes_on_every_corpus_node(corpus_algebras):
         for node in g.nodes:
             rep = tilting_proxy_check(A, list(node.pair.summands))
             assert rep.ok, (A.name, node.key, rep.notes)
+            _, _, MC = quotient_by_annihilator(A, node.pair.module())
+            assert rep.classes == len(decompose(MC).class_reps)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ indecomposable projectives), which we compute separately over Q.
 import pytest
 
 from taubound import InputError, QQ
+from taubound.algebra import delete_vertices
 from taubound.linalg import Mat, inverse
-from taubound.reps import (Rep, direct_sum, projective, simple, zero_rep)
+from taubound.mutation import enumerate_stt
+from taubound.reps import (Rep, direct_sum, projective, restrict_to_quotient,
+                           simple, zero_rep)
 from taubound.tau import (SttPair, classify_pair, hom_to_tau, is_tau_rigid,
                           tau, tau_data, validate_stt_pair)
 
@@ -118,11 +121,20 @@ def test_validate_root_pair(arrow_loop):
     assert res.summand_classes == 2 == res.expected_classes
 
 
-def test_validate_with_cross_check(arrow_loop):
-    A = arrow_loop
-    res = validate_stt_pair(A, [projective(A, 0), simple(A, 0)], [],
-                            cross_check=True)
-    assert res.ok
+def test_tau_rigidity_over_the_support_algebra_lifts_to_a(corpus_algebras):
+    # AIR Lemma 2.1(b): for a module vanishing at the vertices e, tau-rigidity
+    # over A/<e> and over A agree; mutate_down tests it over A
+    checked = 0
+    for A in corpus_algebras.values():
+        for node in enumerate_stt(A).nodes:
+            M = node.pair.module()
+            if not node.pair.support or M.dim_total == 0:
+                continue
+            B = delete_vertices(A, [A.quiver.vertices[v] for v in node.pair.support])
+            assert hom_to_tau(restrict_to_quotient(M, B)) == 0, (A.name, node.key)
+            assert hom_to_tau(M) == 0, (A.name, node.key)
+            checked += 1
+    assert checked >= 10
 
 
 def test_validate_rigid_but_not_complete(arrow_loop):
