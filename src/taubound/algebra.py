@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exceptions import CertificationError, InputError
+from .exceptions import InputError
 from .fields import Field
 from .linalg import (Mat, Span, complement_positions, coordinates, nullspace,
                      unit_vector)
@@ -495,46 +495,17 @@ def loewy_length(algebra: BoundQuiverAlgebra) -> int:
 # Structure-constant algebras and re-presentation as a bound quiver
 
 
-def structure_radical(sa: StructureAlgebra) -> list[tuple]:
-    """Radical as the kernel of the trace form of left multiplication.
-
-    Valid over Q, or over F_p when p exceeds the algebra dimension; smaller
-    primes raise CertificationError rather than risk a wrong answer.
-    """
-    F = sa.field
-    if F.characteristic != 0 and F.characteristic <= sa.dim:
-        raise CertificationError(
-            f"field too small: characteristic {F.characteristic} <= algebra "
-            f"dimension {sa.dim}; radical by trace form needs a larger prime"
-        )
-    n = sa.dim
-    if n == 0:
-        return []
-    # tr(L_i L_j) = sum over k, l of T[i][l][k] * T[j][k][l], where
-    # T[i][l][k] is the k-th coordinate of b_i * b_l
-    T = sa.table
-    entries = [[(l, k, c) for l in range(n) for k, c in enumerate(T[i][l])
-                if not F.is_zero(c)] for i in range(n)]
-    gram = [[F.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            tr = F.zero
-            for l, k, c in entries[i]:
-                tr = F.add(tr, F.mul(c, T[j][k][l]))
-            gram[i][j] = gram[j][i] = tr
-    return [tuple(v) for v in nullspace(Mat.from_rows(F, gram))]
-
-
 def present_structure_as_bound_quiver(
     sa: StructureAlgebra,
     name: str,
+    radical_vectors: Sequence[tuple],
     preferred_arrows: Sequence[tuple[str, int, int, tuple]] = (),
-    radical_vectors: Optional[Sequence[tuple]] = None,
 ) -> BoundQuiverAlgebra:
     """Re-present a structure-constant algebra as a bound quiver algebra.
 
-    Arrows are chosen inside each e_u (rad / rad^2) e_v block, preferring
-    the supplied candidates (label, u, v, vector) in order; relations are
+    ``radical_vectors`` span the Jacobson radical of ``sa``.  Arrows are
+    chosen inside each e_u (rad / rad^2) e_v block, preferring the
+    supplied candidates (label, u, v, vector) in order; relations are
     the kernel of the induced surjection from the new path algebra,
     collected degreewise up to the radical's nilpotency index.  Dimension
     equality with ``sa`` certifies the presentation.
@@ -543,9 +514,6 @@ def present_structure_as_bound_quiver(
     nv = sa.n_vertices
     if sa.dim == 0:
         return construct_algebra(name, F, Quiver((), ()))
-
-    if radical_vectors is None:
-        radical_vectors = structure_radical(sa)
 
     rad = Span(F, sa.dim)
     for v in radical_vectors:
@@ -673,7 +641,7 @@ def _survivor_presentation(algebra, ideal, name):
                               sa.unit_vec(pos)))
         if p.length >= 1:
             rad_vecs.append(sa.unit_vec(pos))
-    return present_structure_as_bound_quiver(sa, name, preferred, rad_vecs)
+    return present_structure_as_bound_quiver(sa, name, rad_vecs, preferred)
 
 
 def factor_algebra(algebra: BoundQuiverAlgebra, ideal: Ideal,

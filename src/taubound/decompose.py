@@ -1,13 +1,17 @@
 """Certified direct-sum decomposition and isomorphism testing.
 
-Splitting is driven by idempotents of End(M): the semisimple quotient
-End(M)/rad is computed exactly (trace form), a nontrivial idempotent is
-found there by factoring the minimal polynomial of a candidate element and
-applying the CRT, and the idempotent is lifted through the radical by the
-Newton iteration e <- 3e^2 - 2e^3.  Every split is certified on the nose:
-the leaf witnesses are orthogonal idempotent endomorphisms of the original
-module summing to the identity.  Only this idempotent search is randomized,
-by a generator seeded from ``seed`` and the dimension vector.
+Splitting is driven by idempotents of End(M), read off single elements.
+For each element b of a basis of End(M), the minimal polynomial of b is
+factored: two coprime factors give, by the CRT in k[b], an idempotent of
+End(M) itself, and M splits on it.  Otherwise b has one eigenvalue λ_b or
+none in k.  When every b has one and the maps b - λ_b*id generate a
+nilpotent algebra, End(M) is k*id plus a nilpotent ideal, so M is
+indecomposable; nilpotency is certified by the action on M
+(``reps.acts_nilpotently``), exactly and in every characteristic.  Every
+split is certified on the nose: the leaf witnesses are orthogonal
+idempotent endomorphisms of the original module summing to the identity.
+When the basis settles nothing, seeded random combinations are tried, by a
+generator seeded from ``seed`` and the dimension vector.
 
 Isomorphism is decided by the radical criterion, with no sampling: for
 indecomposable X and Y the non-isomorphisms X -> Y form the subspace
@@ -15,10 +19,9 @@ rad(X, Y), which is proper when X ~= Y, so X ~= Y exactly when some element
 of any basis of Hom(X, Y) is invertible.  ``iso_test`` tries this on the
 whole modules first; unless M is indecomposable it then matches summands.
 
-Over a too-small prime field (p <= dim End) the trace-form radical is not
-trustworthy, and an indecomposable module may have a non-split endomorphism
-ring over a non-closed field; both situations raise CertificationError
-rather than return an uncertified answer.
+An indecomposable module may have a non-split endomorphism ring over a
+non-closed field (End(M)/rad a proper field extension of k); that raises
+CertificationError rather than return an uncertified answer.
 """
 
 from __future__ import annotations
@@ -30,39 +33,36 @@ from typing import Optional, Sequence
 
 from sympy import Poly, Rational, Symbol
 
-from .algebra import StructureAlgebra, quotient_structure, structure_radical
-from .endo import end_structure
 from .exceptions import CertificationError
 from .fields import PrimeField
 from .linalg import Span, coordinates, is_invertible
-from .reps import ModMap, Rep, hom_basis, identity_map, image, zero_map
+from .reps import (ModMap, Rep, acts_nilpotently, hom_basis, identity_map, image,
+                   linear_combination, zero_map)
 
 _T = Symbol("t")
 
 IDEMPOTENT_ATTEMPTS = 64
-LIFT_ITERATIONS = 64
 
 
 # ---------------------------------------------------------------------------
-# Minimal polynomials and CRT idempotents inside a structure algebra
+# Minimal polynomials, CRT idempotents and eigenvalues of endomorphisms
 
 
-def _minimal_polynomial(sa: StructureAlgebra, x: tuple) -> list:
-    """Monic minimal polynomial of x, as coefficients low -> high."""
-    F = sa.field
-    span = Span(F, sa.dim)
-    cur = sa.unit()
-    powers = [cur]
-    span.add(cur)
+def _minimal_polynomial(b: ModMap) -> list:
+    """Monic minimal polynomial of the endomorphism b, as coefficients
+    low -> high; powers are composed blockwise."""
+    F = b.source.algebra.field
+    cur = identity_map(b.source)
+    powers = [cur.vectorize()]
+    span = Span(F, len(powers[0]))
+    span.add(powers[0])
     while True:
-        cur = sa.mul(cur, x)
-        if not span.add(cur):
+        cur = cur.compose(b)
+        if not span.add(cur.vectorize()):
             break
-        powers.append(cur)
-    coeffs = coordinates(F, powers, [cur])[0]
-    out = [F.neg(c) for c in coeffs]
-    out.append(F.one)
-    return out
+        powers.append(cur.vectorize())
+    coeffs = coordinates(F, powers, [cur.vectorize()])[0]
+    return [F.neg(c) for c in coeffs] + [F.one]
 
 
 def _to_sympy_poly(field, coeffs_low_high) -> Poly:
@@ -85,24 +85,28 @@ def _from_sympy_coeffs(field, poly: Poly) -> list:
     return out
 
 
-def _horner(sa: StructureAlgebra, coeffs_low_high, x: tuple) -> tuple:
-    acc = sa.zero_vec()
+def _horner(coeffs_low_high, b: ModMap) -> ModMap:
+    ident = identity_map(b.source)
+    acc = zero_map(b.source, b.source)
     for c in reversed(coeffs_low_high):
-        acc = sa.add(sa.mul(acc, x), sa.scale(c, sa.unit()))
+        acc = acc.compose(b).add(ident.scale(c))
     return acc
 
 
-def _crt_idempotent(sa: StructureAlgebra, x: tuple) -> Optional[tuple]:
-    """A nontrivial idempotent in the subalgebra generated by x, or None
-    when the minimal polynomial of x is a power of one irreducible."""
-    F = sa.field
-    minpoly = _minimal_polynomial(sa, x)
-    if len(minpoly) <= 2:
-        return None
+def _eigen_split(b: ModMap):
+    """(e, None) with e a nontrivial idempotent of k[b], by the CRT, when
+    the minimal polynomial of b has two coprime factors; (None, λ) when it
+    is a power of t - λ; (None, None) when it is a power of one irreducible
+    of degree > 1."""
+    F = b.source.algebra.field
+    minpoly = _minimal_polynomial(b)
     poly = _to_sympy_poly(F, minpoly)
     _, factors = poly.factor_list()
-    if len(factors) < 2:
-        return None
+    if len(factors) == 1:
+        root = factors[0][0]
+        if root.degree() != 1:
+            return None, None
+        return None, F.neg(_from_sympy_coeffs(F, root.monic())[0])
     factors = sorted(factors, key=lambda fm: (fm[0].degree(), str(fm[0])))
     f = factors[0][0] ** factors[0][1]
     g = poly.exquo(f)
@@ -112,66 +116,53 @@ def _crt_idempotent(sa: StructureAlgebra, x: tuple) -> Optional[tuple]:
         scale = pow(int(h.all_coeffs()[0]) % F.p, -1, F.p)
     else:
         scale = Rational(1) / h.all_coeffs()[0]
-    ebar_poly = (t * g * scale) % poly
-    coeffs = _from_sympy_coeffs(F, ebar_poly)
-    e = _horner(sa, coeffs, x)
-    assert tuple(sa.mul(e, e)) == tuple(e), "CRT element is not idempotent"
-    if sa.is_zero_vec(e) or e == sa.unit():
-        return None
-    return e
+    e = _horner(_from_sympy_coeffs(F, (t * g * scale) % poly), b)
+    assert e.compose(e) == e, "CRT element is not idempotent"
+    assert not e.is_zero() and e != identity_map(b.source)
+    return e, None
 
 
-# ---------------------------------------------------------------------------
-# The semisimple quotient of End(M) and idempotent lifting
+def _local_or_split(M: Rep, maps: Sequence[ModMap]):
+    """(e, None) for the first map with a CRT idempotent e; (None, λs) when
+    each map b is λ_b*id plus a nilpotent and the maps b - λ_b*id generate a
+    nilpotent algebra, so that k*id + span(maps) is local with residue field
+    k; (None, None) when neither holds."""
+    ident = identity_map(M)
+    lams, shifted = [], []
+    for b in maps:
+        e, lam = _eigen_split(b)
+        if e is not None:
+            return e, None
+        if lam is None:
+            return None, None
+        lams.append(lam)
+        shifted.append(b.sub(ident.scale(lam)))
+    return None, (lams if acts_nilpotently(M, shifted) else None)
 
 
-def _lift_idempotent(sa: StructureAlgebra, e0: tuple) -> tuple:
-    """Newton-lift e0 (idempotent modulo the radical) to a true idempotent."""
-    F = sa.field
-    e = e0
-    for _ in range(LIFT_ITERATIONS):
-        sq = sa.mul(e, e)
-        if sq == tuple(e):
-            return tuple(e)
-        cube = sa.mul(sq, e)
-        # 3e^2 - 2e^3
-        three = F.add(F.one, F.add(F.one, F.one))
-        two = F.add(F.one, F.one)
-        e = sa.add(sa.scale(three, sq), sa.scale(F.neg(two), cube))
-    raise RuntimeError("idempotent lifting did not converge")
-
-
-def _splitting_idempotent(sa: StructureAlgebra, maps: Sequence[ModMap],
-                          rad_vecs: Sequence[tuple],
+def _splitting_idempotent(M: Rep, basis: Sequence[ModMap],
                           rng: random.Random) -> Optional[ModMap]:
-    """A nontrivial idempotent endomorphism, or None when End/rad is one
-    dimensional (certified indecomposable).  Raises CertificationError when
-    End/rad is bigger but no splitting idempotent can be certified."""
-    F = sa.field
-    quot, survivors = quotient_structure(sa, rad_vecs)
-    if quot.dim == 1:
+    """A nontrivial idempotent endomorphism of M, or None when End(M) is
+    certified local with residue field k (M indecomposable).  ``basis`` is
+    a basis of End(M).  Raises CertificationError when neither can be
+    certified."""
+    F = M.algebra.field
+    if len(basis) == 1:
         return None
-    candidates = [quot.unit_vec(i) for i in range(quot.dim)]
+    e, lams = _local_or_split(M, basis)
+    if lams is not None:
+        return None
+    if e is not None:
+        return e
     for _ in range(IDEMPOTENT_ATTEMPTS):
-        candidates.append(tuple(F.random(rng) for _ in range(quot.dim)))
-    for cand in candidates:
-        ebar = _crt_idempotent(quot, cand)
-        if ebar is None:
-            continue
-        # section back to End(M) and lift through the radical
-        e0 = list(sa.zero_vec())
-        for c, i in zip(ebar, survivors):
-            e0[i] = c
-        e = _lift_idempotent(sa, tuple(e0))
-        assert not sa.is_zero_vec(e) and e != sa.unit()
-        out = None
-        for c, m in zip(e, maps):
-            term = m.scale(c)
-            out = term if out is None else out.add(term)
-        return out
+        x = linear_combination(basis, [F.random(rng) for _ in basis])
+        e, _ = _eigen_split(x)
+        if e is not None:
+            return e
     raise CertificationError(
-        f"non-split endomorphism ring: End/rad has dimension {quot.dim} but no "
-        f"splitting idempotent was certified over {F.name}"
+        f"non-split endomorphism ring: End(M) of dimension {len(basis)} is "
+        f"not local with residue field {F.name}, and no splitting idempotent "
+        f"was certified"
     )
 
 
@@ -202,23 +193,11 @@ class Decomposition:
         return all(m == 1 for m in self.multiplicities)
 
 
-def _check_field_size(F, end_dim: int):
-    if F.characteristic != 0 and F.characteristic <= end_dim:
-        raise CertificationError(
-            f"field too small: characteristic {F.characteristic} <= "
-            f"dim End(M) = {end_dim}; decomposition needs a larger prime"
-        )
-
-
 def _split_rec(rep: Rep, embed: ModMap, retract: ModMap,
                rng: random.Random, out: list[Leaf]):
     if rep.dim_total == 0:
         return
-    F = rep.algebra.field
-    sa, maps = end_structure(rep)
-    _check_field_size(F, sa.dim)
-    rad_vecs = structure_radical(sa)
-    e_map = _splitting_idempotent(sa, maps, rad_vecs, rng)
+    e_map = _splitting_idempotent(rep, hom_basis(rep, rep), rng)
     if e_map is None:
         out.append(Leaf(rep, embed, retract))
         return

@@ -16,26 +16,11 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (BoundQuiverAlgebra, Quiver, StructureAlgebra,
-                      loewy_length, present_structure_as_bound_quiver,
-                      radical, structure_radical)
+                      loewy_length, present_structure_as_bound_quiver, radical)
+from .decompose import _local_or_split, iso_test
 from .exceptions import CertificationError, InputError
 from .linalg import Span, coordinates, unit_vector
 from .reps import ModMap, Rep, hom_basis, identity_map, projective_dimension, simple
-
-
-def end_structure(rep: Rep) -> tuple[StructureAlgebra, list[ModMap]]:
-    """End(rep) as a structure-constant algebra with the identity as the
-    single designated idempotent."""
-    F = rep.algebra.field
-    basis = hom_basis(rep, rep)
-    if not basis:
-        return StructureAlgebra(F, (), (), ()), []
-    k = len(basis)
-    coords = coordinates(F, [b.vectorize() for b in basis],
-                         [bi.compose(bj).vectorize() for bi in basis for bj in basis]
-                         + [identity_map(rep).vectorize()])
-    table = tuple(tuple(coords[i * k:(i + 1) * k]) for i in range(k))
-    return StructureAlgebra(F, table, [coords[-1]], ("1",)), basis
 
 
 @dataclass
@@ -60,7 +45,6 @@ def endo_algebra(summands: Sequence[Rep],
     A = summands[0].algebra
     F = A.field
     # the presentation below reads off local blocks, so repeats are rejected
-    from .decompose import iso_test
     for u in range(t):
         for v in range(u + 1, t):
             if summands[u].dims == summands[v].dims and \
@@ -119,42 +103,33 @@ def quiver_presentation(endo: EndoAlgebra, name: str = "End") -> BoundQuiverAlge
     """Present the endomorphism algebra by quiver and relations.
 
     The radical is assembled structurally: all off-diagonal blocks plus the
-    trace-form radical of each local algebra End(T_u).  Each End(T_u)/rad
-    must be one-dimensional (the summand is indecomposable with split
-    endomorphism ring); otherwise certification fails.
+    radical of each local algebra End(T_u), spanned by the b - λ_b*id for
+    the basis elements b of its block, certified nilpotent by their action
+    on T_u.  Each End(T_u)/rad must be one-dimensional (the summand is
+    indecomposable with split endomorphism ring); otherwise certification
+    fails.
     """
     sa = endo.sa
     F = sa.field
-    t = len(endo.summands)
-    if sa.dim == 0:
-        return present_structure_as_bound_quiver(sa, name)
-
     rad_vectors: list[tuple] = []
     for i, (u, v) in enumerate(endo.block_of):
         if u != v:
             rad_vectors.append(sa.unit_vec(i))
-    for u in range(t):
-        idx = [i for i, blk in enumerate(endo.block_of) if blk == (u, u)]
-        m = len(idx)
-        sub_table = tuple(
-            tuple(tuple(sa.table[idx[i]][idx[j]][idx[k]] for k in range(m))
-                  for j in range(m))
-            for i in range(m)
-        )
-        # id_{T_u} is the first element of its block
-        sub = StructureAlgebra(F, sub_table, [unit_vector(F, m, 0)], ("x",))
-        local_rad = structure_radical(sub)
-        if m - len(local_rad) != 1:
+    for u, T in enumerate(endo.summands):
+        ident = endo.diag_offsets[u]
+        idx = [i for i, blk in enumerate(endo.block_of)
+               if blk == (u, u) and i != ident]
+        _, lams = _local_or_split(T, [endo.basis_maps[i] for i in idx])
+        if lams is None:
             raise CertificationError(
-                f"non-split block: End(T)/rad of summand "
-                f"{endo.sa.vertex_labels[u]} has dimension {m - len(local_rad)}"
+                f"non-split block: End(T) of summand {sa.vertex_labels[u]} is "
+                f"not local with residue field {F.name}"
             )
-        for lv in local_rad:
-            out = [F.zero] * sa.dim
-            for k, c in enumerate(lv):
-                out[idx[k]] = c
+        for i, lam in zip(idx, lams):
+            out = list(sa.unit_vec(i))
+            out[ident] = F.neg(lam)
             rad_vectors.append(tuple(out))
-    return present_structure_as_bound_quiver(sa, name, (), rad_vectors)
+    return present_structure_as_bound_quiver(sa, name, rad_vectors)
 
 
 # ---------------------------------------------------------------------------

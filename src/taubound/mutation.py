@@ -9,7 +9,8 @@ Every pair sits below the free pair in the generation order, so a
 breadth-first search using only down mutations visits the whole graph.
 
 Minimality of the approximation is certified on the nose: f: X -> Y is
-left minimal iff every endomorphism of Y killing f lies in rad End(Y).
+left minimal iff the left ideal of endomorphisms of Y killing f lies in
+rad End(Y), that is, iff it acts nilpotently on Y.
 Nothing else about a valid pair is re-proved (Adachi-Iyama-Reiten 2014):
 a zero cokernel needs exactly one vertex outside the support where the
 rest vanishes (Lemma 2.1, Prop. 2.3); a nonzero cokernel must be
@@ -23,13 +24,12 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import BoundQuiverAlgebra, structure_radical
+from .algebra import BoundQuiverAlgebra
 from .decompose import _indec_iso, decompose, iso_test
-from .endo import end_structure
 from .exceptions import CertificationError, InputError
 from .linalg import Mat, Span, nullspace
-from .reps import (ModMap, Rep, cokernel, direct_sum, hom_basis, projective,
-                   simple, zero_map, zero_rep)
+from .reps import (ModMap, Rep, acts_nilpotently, cokernel, direct_sum, hom_basis,
+                   linear_combination, projective, simple, zero_map, zero_rep)
 from .tau import SttPair, _classify_valid_pair, hom_to_tau, validate_stt_pair
 
 
@@ -75,27 +75,25 @@ def _is_left_approximation(f: ModMap, targets: Sequence[Rep]) -> bool:
 
 
 def _certify_left_minimal(f: ModMap):
-    """Raise unless {psi in End(Y) : psi . f = 0} is inside rad End(Y)."""
+    """Raise unless {psi in End(Y) : psi . f = 0} is inside rad End(Y).
+
+    That set is a left ideal of End(Y), and a left ideal lies in the
+    radical exactly when it is nilpotent, which its action on Y decides."""
     Y = f.target
     if Y.dim_total == 0:
         return
-    sa, maps = end_structure(Y)
-    F = sa.field
+    maps = hom_basis(Y, Y)
     cols = [m.compose(f).vectorize() for m in maps]
     veclen = len(cols[0])
     assert veclen > 0, "nonzero approximation with empty hom coordinates"
-    mat = Mat(F, veclen, len(cols),
+    mat = Mat(Y.algebra.field, veclen, len(cols),
               [[cols[j][i] for j in range(len(cols))] for i in range(veclen)])
-    killers = nullspace(mat)
-    rad = Span(F, sa.dim)
-    for r in structure_radical(sa):
-        rad.add(r)
-    for w in killers:
-        if not rad.contains(w):
-            raise CertificationError(
-                "left approximation minimality could not be certified: an "
-                "endomorphism outside the radical annihilates it"
-            )
+    killers = [linear_combination(maps, w) for w in nullspace(mat)]
+    if not acts_nilpotently(Y, killers):
+        raise CertificationError(
+            "left approximation minimality could not be certified: an "
+            "endomorphism outside the radical annihilates it"
+        )
 
 
 def minimal_left_approximation(X: Rep, targets: Sequence[Rep]):

@@ -28,11 +28,12 @@ from .algebra import (BoundQuiverAlgebra, delete_vertices, factor_algebra,
                       loewy_length)
 from .endo import (DerdimEstimate, DerdimRegistry, derdim_estimate,
                    endo_algebra, merge_estimates, quiver_presentation)
+from .exceptions import InputError
 from .mutation import (ExchangeGraph, GraphNode, IsoRegistry, _sorted_pair,
                        enumerate_stt, pair_key)
 from .reps import (Rep, annihilator, direct_sum, ext1_dim,
                    projective_dimension, restrict_to_quotient)
-from .tau import SttPair, classify_pair
+from .tau import SttPair, _classify_valid_pair, validate_stt_pair
 
 
 def canonical_json(payload) -> str:
@@ -220,7 +221,12 @@ def derdim_bound_report(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
             support = [v for v in range(algebra.n_vertices) if M0.dims[v] == 0]
         else:
             support = list(range(algebra.n_vertices))
-    classification = classify_pair(algebra, summands, support, seed=seed)
+    val = validate_stt_pair(algebra, summands, support, seed=seed)
+    if not val.ok:
+        raise InputError("not a support tau-tilting pair: " + "; ".join(val.reasons))
+    if val.summand_classes != len(summands):
+        raise InputError("cannot report on a pair that lists a decomposable summand")
+    classification = _classify_valid_pair(algebra, summands, support)
     names, pair = _sorted_pair(IsoRegistry(algebra, seed=seed),
                                SttPair(algebra, tuple(summands), tuple(support)))
     return _node_report(GraphNode(pair_key(names), pair, names, classification),

@@ -273,6 +273,38 @@ def hom_dim(M: Rep, N: Rep) -> int:
     return len(hom_basis(M, N))
 
 
+def linear_combination(maps: Sequence[ModMap], coeffs: Sequence) -> ModMap:
+    """The sum of c * m over ``maps`` (one source, one target) and ``coeffs``."""
+    out = maps[0].scale(coeffs[0])
+    for m, c in zip(maps[1:], coeffs[1:]):
+        out = out.add(m.scale(c))
+    return out
+
+
+def acts_nilpotently(M: Rep, maps: Sequence[ModMap]) -> bool:
+    """Do the endomorphisms ``maps`` of M generate a nilpotent algebra?
+
+    The chain V_0 = M, V_{j+1} = span{s(x) : s in maps, x in V_j} can only
+    shrink, so it either reaches 0, which certifies that every product of
+    dim M of the maps vanishes, or stalls at a nonzero space that every
+    product keeps, which refutes nilpotency.  Exact in every characteristic.
+    """
+    F = M.algebra.field
+    layer = [[unit_vector(F, d, i) for i in range(d)] for d in M.dims]
+    size = M.dim_total
+    while size:
+        spans = [Span(F, d) for d in M.dims]
+        for s in maps:
+            for v, blk in enumerate(s.blocks):
+                for x in layer[v]:
+                    spans[v].add(blk.apply(x))
+        if sum(sp.dim for sp in spans) == size:
+            return False
+        layer = [sp.basis() for sp in spans]
+        size = sum(len(b) for b in layer)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Kernels, cokernels, images
 

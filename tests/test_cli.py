@@ -196,6 +196,17 @@ def test_exit_2_on_zero_denominator(capsys, tmp_path):
     assert "m.mod:3: bad scalar '1/7'" in err
 
 
+def test_exit_2_on_a_decomposable_listed_summand(capsys, tmp_path):
+    # P(1) + P(2) written out as one summand: a valid pair, listed wrongly
+    mod = tmp_path / "both.mod"
+    mod.write_text("module both over arrow_loop\ndims 1 3\n"
+                   "map alpha = [[1],[0],[0]]\n"
+                   "map beta = [[0,0,0],[0,0,0],[0,1,0]]\nend\n")
+    code, _, err = run(capsys, "report", "--algebra", ALG, "--module", str(mod))
+    assert code == 2
+    assert "error: report:" in err and "decomposable" in err
+
+
 def test_exit_3_on_budget(capsys):
     code, _, err = run(capsys, "enumerate", "--algebra",
                        corpus_path("line3.alg"), "--max-nodes", "2")

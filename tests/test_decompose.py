@@ -4,12 +4,13 @@ and certifying isomorphism.
 
 import importlib
 import itertools
+import random
 
 import pytest
 
 from taubound import CertificationError
 from taubound.algebra import Arrow, Quiver, construct_algebra
-from taubound.decompose import decompose, iso_test
+from taubound.decompose import _splitting_idempotent, decompose, iso_test
 from taubound.fields import PrimeField
 from taubound.linalg import Mat, inverse, is_invertible
 from taubound.parsing import parse_algebra_text
@@ -61,12 +62,45 @@ def test_krull_schmidt_additivity(corpus_algebras):
             == M.dim_total
 
 
-def test_field_too_small_is_certification_error():
+def test_small_field_splits_a_power_of_a_simple():
+    # End(S(1)^3) is the 9-dimensional matrix algebra over F_2: no trace
+    # form is needed, the splitting works in characteristic 2
     F2 = PrimeField(2)
     q = Quiver((1, 2), (Arrow("a", 0, 1),))
     A = construct_algebra("tiny", F2, q)
-    M = direct_sum(A, [simple(A, 0)] * 3).rep    # End has dim 9 > 2
-    with pytest.raises(CertificationError, match="field too small"):
+    dec = decompose(direct_sum(A, [simple(A, 0)] * 3).rep)
+    assert dec.summand_count == 3
+    assert [r.dims for r in dec.class_reps] == [(1, 0)]
+    assert dec.multiplicities == (3,)
+
+
+def test_eigenvalues_alone_do_not_certify_a_local_end(line2):
+    # End(S + S) is the 2x2 matrix algebra.  In the basis I, E12, E21 and
+    # N = [[1, 1], [-1, -1]] every element is a scalar plus a nilpotent, but
+    # E12 and E21 generate a non-nilpotent algebra, so S + S must still split
+    A = line2
+    F = A.field
+    ds = direct_sum(A, [simple(A, 0)] * 2)
+    unit = {(i, j): ds.inclusions[i].compose(ds.projections[j])
+            for i in range(2) for j in range(2)}
+    minus = F.neg(F.one)
+    basis = [unit[0, 0].add(unit[1, 1]), unit[0, 1], unit[1, 0],
+             unit[0, 0].add(unit[0, 1]).add(unit[1, 0].scale(minus))
+             .add(unit[1, 1].scale(minus))]
+    e = _splitting_idempotent(ds.rep, basis, random.Random(0))
+    assert e is not None and e.compose(e) == e
+    assert not e.is_zero() and e != unit[0, 0].add(unit[1, 1])
+
+
+def test_non_split_endomorphism_ring_is_certification_error():
+    # over F_3 the Kronecker module with the companion matrix of x^2 + 1 is
+    # indecomposable with End = F_9: local, but not with residue field F_3
+    F3 = PrimeField(3)
+    q = Quiver((1, 2), (Arrow("a", 0, 1), Arrow("b", 0, 1)))
+    A = construct_algebra("kron", F3, q)
+    M = Rep(A, (2, 2), (Mat.identity(F3, 2),
+                        Mat.from_rows(F3, [[0, 2], [1, 0]])))
+    with pytest.raises(CertificationError, match="non-split"):
         decompose(M)
 
 

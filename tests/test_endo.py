@@ -4,14 +4,18 @@ dimension estimates.
 
 import pytest
 
-from taubound import CertificationError, InputError
+import taubound.endo
+from taubound import CertificationError, InputError, parse_algebra_text
 from taubound.algebra import Arrow, Quiver, construct_algebra, loewy_length
 from taubound.endo import (DerdimEstimate, derdim_estimate, dynkin_type,
                            endo_algebra, is_hereditary, merge_estimates,
                            quiver_presentation)
 from taubound.fields import PrimeField
-from taubound.linalg import Mat
+from taubound.linalg import Mat, Span, inverse, nullspace
+from taubound.mutation import enumerate_stt
 from taubound.reps import Rep, hom_dim, projective, simple
+
+from conftest import corpus_path
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +92,76 @@ def test_non_split_block_is_rejected():
     assert endo.dim == 2
     with pytest.raises(CertificationError, match="non-split block"):
         quiver_presentation(endo)
+
+
+# ---------------------------------------------------------------------------
+# the local radical against a trace-form reference
+
+
+def trace_form_radical(sa):
+    """Reference radical of a structure-constant algebra: the kernel of the
+    trace form tr(L_x L_y) of left multiplication.  Valid over Q, and over
+    F_p when p exceeds the algebra dimension."""
+    F, n, T = sa.field, sa.dim, sa.table
+    assert F.characteristic == 0 or F.characteristic > n
+    # tr(L_i L_j) = sum over k, l of T[i][l][k] * T[j][k][l]
+    gram = [[F.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    gram[i][j] = F.add(gram[i][j], F.mul(T[i][l][k], T[j][k][l]))
+    return nullspace(Mat.from_rows(F, gram))
+
+
+def same_span(F, n, us, vs):
+    a, b = Span(F, n), Span(F, n)
+    for u in us:
+        a.add(u)
+    for v in vs:
+        b.add(v)
+    return a.dim == b.dim and all(a.contains(v) for v in b.basis())
+
+
+def conjugated(T):
+    """T with each vertex space rebased by the bidiagonal matrix with 1 on
+    the diagonal and 2 above it, so that hom bases change: the conjugated
+    P(2) of arrow_loop has a basis endomorphism with eigenvalue 2."""
+    F = T.algebra.field
+    g = [Mat.from_rows(F, [[F.of_int(1 if j == i else 2 if j == i + 1 else 0)
+                            for j in range(d)] for i in range(d)]) if d else None
+         for d in T.dims]
+    return Rep(T.algebra, T.dims, [
+        m if m.nrows == 0 or m.ncols == 0
+        else g[a.target].mul(m).mul(inverse(g[a.source]))
+        for a, m in zip(T.algebra.quiver.arrows, T.maps)])
+
+
+@pytest.mark.parametrize("field", ["Fp 32003", "Q"])
+def test_local_radical_matches_the_trace_form(field, monkeypatch):
+    seen = []
+
+    def capture(sa, name, radical_vectors, preferred_arrows=()):
+        seen.append((sa, list(radical_vectors)))
+        return None
+
+    monkeypatch.setattr(taubound.endo, "present_structure_as_bound_quiver", capture)
+    checked = 0
+    for name in ("arrow_loop", "line2", "line3", "discrete2"):
+        with open(corpus_path(f"{name}.alg")) as fh:
+            A = parse_algebra_text(fh.read().replace("field Fp 32003", f"field {field}"))
+        assert A.field.characteristic == (0 if field == "Q" else 32003)
+        for node in enumerate_stt(A).nodes:
+            summands = list(node.pair.summands)
+            for endo in [endo_algebra([T]) for T in summands] + \
+                    [endo_algebra([conjugated(T)]) for T in summands] + \
+                    ([endo_algebra(summands)] if summands else []):
+                seen.clear()
+                quiver_presentation(endo)
+                [(sa, rad)] = seen
+                assert same_span(sa.field, sa.dim, rad, trace_form_radical(sa))
+                checked += 1
+    assert checked > 20
 
 
 # ---------------------------------------------------------------------------

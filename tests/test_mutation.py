@@ -13,11 +13,12 @@ import pytest
 import taubound.mutation
 from taubound import CertificationError, InputError
 from taubound.linalg import Mat
-from taubound.mutation import (IsoRegistry, SttPair, compact_label,
-                               enumerate_stt, fac_contains,
+from taubound.mutation import (IsoRegistry, SttPair, _certify_left_minimal,
+                               compact_label, enumerate_stt, fac_contains,
                                minimal_left_approximation, mutate,
                                mutate_down, pair_key)
-from taubound.reps import Rep, cokernel, direct_sum, projective, simple
+from taubound.reps import (Rep, cokernel, direct_sum, hom_basis, projective,
+                           simple, zero_map)
 from taubound.reports import export_graph_json
 from taubound.tau import validate_stt_pair
 
@@ -231,6 +232,20 @@ def test_mutate_down_certifies(arrow_loop):
     step = mutate_down(root, 1)      # swap P(2) for S(1)
     assert step.added is not None and step.added.dims == (1, 0)
     assert key_of(step.pair) == "P1+S1"
+
+
+def test_left_minimality_certificate(line2):
+    # f: P(2) -> P(1), the inclusion of the radical, is left minimal; (f, 0)
+    # into P(1) + P(1) is not: the projection onto the second copy kills it
+    A = line2
+    P1, P2 = projective(A, 0), projective(A, 1)
+    [f] = hom_basis(P2, P1)
+    _certify_left_minimal(f)
+    ds = direct_sum(A, [P1, P1])
+    padded = ds.inclusions[0].compose(f).add(
+        ds.inclusions[1].compose(zero_map(P2, P1)))
+    with pytest.raises(CertificationError, match="minimality"):
+        _certify_left_minimal(padded)
 
 
 def test_mutate_refuses_a_decomposable_listed_summand(arrow_loop):

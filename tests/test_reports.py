@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from taubound import InputError
+from taubound import InputError, parse_algebra_text
 from taubound.algebra import loewy_length
 from taubound.decompose import decompose
 from taubound.endo import derdim_estimate
@@ -219,6 +219,43 @@ def test_graph_reports_agree_with_single_pair_reports(corpus_algebras,
             assert alone.to_json_dict() == report.to_json_dict(), node.key
             assert node.classification == classify_pair(
                 A, summands, node.pair.support), node.key
+
+
+def test_report_refuses_a_decomposable_listed_summand(arrow_loop):
+    A = arrow_loop
+    both = direct_sum(A, [projective(A, 0), projective(A, 1)]).rep
+    with pytest.raises(InputError, match="decomposable"):
+        derdim_bound_report(A, [both])
+
+
+def line_text(n):
+    return "".join(f"arrow a{i}: {i} -> {i + 1}\n" for i in range(1, n))
+
+
+# (name, vertices, arrows and relations, field, closed-form pair count):
+# Catalan numbers for the A_n lines, 4! for preprojective A3, and the
+# frozen arrow_loop graph of gate C1
+SMALL_FIELD_CASES = [
+    ("line3", 3, line_text(3), "Fp 2", 14),
+    ("arrow_loop", 2, "arrow alpha: 1 -> 2\narrow beta: 2 -> 2\n"
+     "relations\n  alpha*beta\n  beta*beta\nend\n", "Fp 3", 5),
+    ("line4", 4, line_text(4), "Fp 5", 42),
+    ("preproj3", 3, "arrow a1: 1 -> 2\narrow b1: 2 -> 1\n"
+     "arrow a2: 2 -> 3\narrow b2: 3 -> 2\n"
+     "relations\n  a1*b1\n  b2*a2\n  a2*b2 - b1*a1\nend\n", "Fp 7", 24),
+]
+
+
+@pytest.mark.parametrize("name,n,body,field,pairs", SMALL_FIELD_CASES,
+                         ids=[f"{c[0]}-{c[3].replace(' ', '')}" for c in SMALL_FIELD_CASES])
+def test_small_fields_enumerate_and_report(name, n, body, field, pairs):
+    # no certificate needs the characteristic to exceed an algebra dimension
+    A = parse_algebra_text(f"algebra {name}\nfield {field}\nvertices "
+                           + " ".join(str(v) for v in range(1, n + 1))
+                           + "\n" + body)
+    assert enumerate_stt(A).n_nodes == pairs
+    graph, reports = graph_reports(A)
+    assert graph.n_nodes == len(reports) == pairs
 
 
 def test_export_json_shape_and_determinism(arrow_loop):

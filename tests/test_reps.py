@@ -13,8 +13,9 @@ from hypothesis import given, strategies as st
 
 from taubound import InputError
 from taubound.algebra import delete_vertices, radical, factor_algebra
-from taubound.reps import (annihilator, cokernel, direct_sum, ext1_dim,
-                           global_dimension, hom_basis, hom_dim, injective_rep,
+from taubound.reps import (acts_nilpotently, annihilator, cokernel, direct_sum,
+                           ext1_dim, global_dimension, hom_basis, hom_dim,
+                           identity_map, injective_rep,
                            is_faithful, kernel, lift_from_quotient,
                            minimal_presentation, projective,
                            projective_cover, projective_dimension,
@@ -259,3 +260,35 @@ def test_ext1_additivity(line3):
     for M, N in itertools.product(mods[:4], repeat=2):
         ds = direct_sum(A, [M, M]).rep
         assert ext1_dim(ds, N) == 2 * ext1_dim(M, N)
+
+
+# ---------------------------------------------------------------------------
+# nilpotency of a set of endomorphisms, by the action on the module
+
+
+def test_acts_nilpotently_accepts_the_radical_of_the_regular_module(line3):
+    # End(A_A) = A; for the A3 line the radical is spanned by the maps
+    # P(w) -> P(v) with v != w, the left multiplications by arrows and paths
+    A = line3
+    ds = direct_sum(A, [projective(A, v) for v in range(3)])
+    arrows = [ds.inclusions[v].compose(h).compose(ds.projections[w])
+              for v in range(3) for w in range(3) if v != w
+              for h in hom_basis(projective(A, w), projective(A, v))]
+    assert len(arrows) == 3
+    assert acts_nilpotently(ds.rep, arrows)
+    assert acts_nilpotently(ds.rep, [])
+    e1 = ds.inclusions[0].compose(ds.projections[0])
+    assert not acts_nilpotently(ds.rep, arrows + [e1])
+
+
+def test_acts_nilpotently_refuses_the_identity_and_a_non_nilpotent_pair(line2):
+    A = line2
+    S = simple(A, 0)
+    assert not acts_nilpotently(S, [identity_map(S)])
+    # on S + S the two matrix units E12 and E21 are each nilpotent, but
+    # E12 E21 = E11 is an idempotent: the algebra they generate is not
+    ds = direct_sum(A, [S, S])
+    e12 = ds.inclusions[0].compose(ds.projections[1])
+    e21 = ds.inclusions[1].compose(ds.projections[0])
+    assert acts_nilpotently(ds.rep, [e12])
+    assert not acts_nilpotently(ds.rep, [e12, e21])
