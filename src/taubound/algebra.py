@@ -644,8 +644,7 @@ def _survivor_presentation(algebra, ideal, name):
     return present_structure_as_bound_quiver(sa, name, rad_vecs, preferred)
 
 
-def factor_algebra(algebra: BoundQuiverAlgebra, ideal: Ideal,
-                   name: Optional[str] = None) -> BoundQuiverAlgebra:
+def factor_algebra(algebra: BoundQuiverAlgebra, ideal: Ideal) -> BoundQuiverAlgebra:
     """Quotient by a two-sided ideal contained in the radical."""
     if ideal.algebra is not algebra:
         raise InputError("factor_algebra: ideal belongs to a different algebra")
@@ -660,7 +659,7 @@ def factor_algebra(algebra: BoundQuiverAlgebra, ideal: Ideal,
             )
     if ideal.dim == 0:
         return algebra
-    return _survivor_presentation(algebra, ideal, name or f"{algebra.name}/I")
+    return _survivor_presentation(algebra, ideal, f"{algebra.name}/I")
 
 
 def delete_vertices(algebra: BoundQuiverAlgebra, labels: Sequence[str],

@@ -294,9 +294,9 @@ def pair_key(names: Sequence[str]) -> str:
     return "+".join(names) if names else "0"
 
 
-def _sorted_pair(registry: IsoRegistry, pair: SttPair):
-    named = sorted(((compact_label(registry.name_of(s)), s)
-                    for s in pair.summands), key=lambda t: t[0])
+def _sorted_pair(names: Sequence[str], pair: SttPair):
+    """Sort the summands by their names, which are given in summand order."""
+    named = sorted(zip(names, pair.summands), key=lambda t: t[0])
     names = tuple(n for n, _ in named)
     pair = SttPair(pair.algebra, tuple(s for _, s in named), pair.support)
     return names, pair
@@ -316,7 +316,8 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
     val = validate_stt_pair(algebra, root.summands, root.support, seed=seed)
     assert val.ok, "the free pair failed validation"
 
-    names, root = _sorted_pair(registry, root)
+    names, root = _sorted_pair(
+        [compact_label(registry.name_of(s)) for s in root.summands], root)
     root_key = pair_key(names)
     order: list[str] = [root_key]
     node_pairs: dict[str, tuple[SttPair, tuple[str, ...]]] = {root_key: (root, names)}
@@ -332,7 +333,15 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
                 continue   # mutating this slot goes up; the edge is found
                            # from the other endpoint
             step = mutate_down(pair, slot, seed=seed)
-            new_names, new_pair = _sorted_pair(registry, step.pair)
+            # the other summands keep their names and order; only C is new
+            new_names = names[:slot] + names[slot + 1:]
+            if step.added is None:
+                lab = algebra.quiver.vertices[step.new_support_vertex]
+                added = compact_label(f"P({lab})")
+            else:
+                added = compact_label(registry.name_of(step.added))
+                new_names += (added,)
+            new_names, new_pair = _sorted_pair(new_names, step.pair)
             new_key = pair_key(new_names)
             if new_key not in node_pairs:
                 if len(node_pairs) >= max_nodes:
@@ -343,14 +352,7 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
                 node_pairs[new_key] = (new_pair, new_names)
                 order.append(new_key)
                 queue.append(new_key)
-            if step.added is None:
-                lab = algebra.quiver.vertices[step.new_support_vertex]
-                added = compact_label(f"P({lab})")
-            else:
-                added = compact_label(registry.name_of(step.added))
-            edges.append(GraphEdge(
-                key, new_key,
-                compact_label(registry.name_of(step.removed)), added))
+            edges.append(GraphEdge(key, new_key, names[slot], added))
 
     # every node is already validated: the root above, the others by the
     # certificate of the mutate_down that reached them
@@ -388,8 +390,7 @@ def mutate(pair: SttPair, slot: int, seed: int = 0,
 
     registry = IsoRegistry(A, seed=seed)
     graph = enumerate_stt(A, max_nodes=max_nodes, seed=seed, registry=registry)
-    names, _ = _sorted_pair(registry, pair)
-    key = pair_key(names)
+    key = pair_key(sorted(compact_label(registry.name_of(s)) for s in pair.summands))
     if removed_name is None:
         removed_name = compact_label(registry.name_of(pair.summands[slot]))
     # the up mutation at this slot is the unique edge into our node whose

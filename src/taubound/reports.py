@@ -30,7 +30,7 @@ from .endo import (DerdimEstimate, DerdimRegistry, derdim_estimate,
                    endo_algebra, merge_estimates, quiver_presentation)
 from .exceptions import InputError
 from .mutation import (ExchangeGraph, GraphNode, IsoRegistry, _sorted_pair,
-                       enumerate_stt, pair_key)
+                       compact_label, enumerate_stt, pair_key)
 from .reps import (Rep, annihilator, direct_sum, ext1_dim,
                    projective_dimension, restrict_to_quotient)
 from .tau import SttPair, _classify_valid_pair, validate_stt_pair
@@ -44,8 +44,7 @@ def canonical_json(payload) -> str:
 # The annihilator quotient and the tilting re-check
 
 
-def quotient_by_annihilator(algebra: BoundQuiverAlgebra, M: Rep,
-                            name: Optional[str] = None):
+def quotient_by_annihilator(algebra: BoundQuiverAlgebra, M: Rep):
     """(C, ann, M as a C-module) where C = A / ann(M).  Vertices where M
     vanishes are deleted first so that the remaining ideal sits inside the
     radical."""
@@ -61,7 +60,7 @@ def quotient_by_annihilator(algebra: BoundQuiverAlgebra, M: Rep,
     if A1.is_zero_algebra:
         # M = 0: its annihilator quotient is the zero algebra itself
         return A1, ann, M1
-    C = factor_algebra(A1, ann1, name=name)
+    C = factor_algebra(A1, ann1)
     MC = restrict_to_quotient(M1, C) if C is not A1 else M1
     return C, ann, MC
 
@@ -93,7 +92,6 @@ class TiltingProxyReport:
     presentations_match: Optional[bool]   # None when M = 0 (nothing to present)
     ok: bool
     notes: tuple[str, ...]
-    quotient: BoundQuiverAlgebra          # C itself; not part of the JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,11 +116,19 @@ def tilting_proxy_check(algebra: BoundQuiverAlgebra,
     transport to C.  The summands must be a valid pair's indecomposable,
     pairwise non-isomorphic summands (none gives C = 0); as Hom_C = Hom_A
     for C-modules, their number is the summand count over C."""
-    notes: list[str] = []
-    ok = True
     M = direct_sum(algebra, list(summands)).rep
     C, _, MC = quotient_by_annihilator(algebra, M)
+    B = quiver_presentation(endo_algebra(list(summands)), name="End/ambient") \
+        if summands else None
+    return _tilting_proxy(summands, C, MC, B)
 
+
+def _tilting_proxy(summands: Sequence[Rep], C: BoundQuiverAlgebra, MC: Rep,
+                   B: Optional[BoundQuiverAlgebra]) -> TiltingProxyReport:
+    """tilting_proxy_check given C, M as a C-module and the presentation B
+    of End(M) over the ambient algebra (None when M = 0)."""
+    notes: list[str] = []
+    ok = True
     pd = projective_dimension(MC)
     if pd is None or pd > 1:
         ok = False
@@ -137,27 +143,18 @@ def tilting_proxy_check(algebra: BoundQuiverAlgebra,
         notes.append(f"{classes} summand classes over an algebra with "
                      f"{C.n_vertices} vertices")
 
-    if summands:
-        endo_a = endo_algebra(list(summands))
-        summands_c = [restrict_to_quotient(s, C) for s in summands]
-        endo_c = endo_algebra(summands_c)
-        match: Optional[bool] = endo_a.dim == endo_c.dim
-        if match:
-            sig_a = _presentation_signature(
-                quiver_presentation(endo_a, name="End/ambient"))
-            sig_c = _presentation_signature(
-                quiver_presentation(endo_c, name="End/quotient"))
-            match = sig_a == sig_c
+    match, dim_a, dim_c = None, 0, 0
+    if B is not None:
+        endo_c = endo_algebra([restrict_to_quotient(s, C) for s in summands])
+        dim_a, dim_c = B.dim, endo_c.dim
+        match = dim_a == dim_c and _presentation_signature(B) == \
+            _presentation_signature(quiver_presentation(endo_c, name="End/quotient"))
         if not match:
             ok = False
             notes.append("endomorphism algebra changed under the quotient "
                          "transport")
-        dim_a, dim_c = endo_a.dim, endo_c.dim
-    else:
-        match = None
-        dim_a = dim_c = 0
     return TiltingProxyReport(C.name, C.dim, pd, ext, classes, C.n_vertices,
-                              dim_a, dim_c, match, ok, tuple(notes), C)
+                              dim_a, dim_c, match, ok, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -227,43 +224,45 @@ def derdim_bound_report(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
     if val.summand_classes != len(summands):
         raise InputError("cannot report on a pair that lists a decomposable summand")
     classification = _classify_valid_pair(algebra, summands, support)
-    names, pair = _sorted_pair(IsoRegistry(algebra, seed=seed),
+    iso = IsoRegistry(algebra, seed=seed)
+    names, pair = _sorted_pair([compact_label(iso.name_of(s)) for s in summands],
                                SttPair(algebra, tuple(summands), tuple(support)))
+    lhs = (None if classification in ("zero", "proper-support")
+           else derdim_estimate(algebra, registry))
     return _node_report(GraphNode(pair_key(names), pair, names, classification),
-                        registry, loewy_length(algebra) - 1)
+                        registry, loewy_length(algebra) - 1, lhs)
 
 
 def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
-                 loewy_rhs: int) -> BoundReport:
+                 loewy_rhs: int, lhs: Optional[DerdimEstimate]) -> BoundReport:
     """The report on a pair that is already validated, named (summands in
-    name order) and classified; ``loewy_rhs`` is Loewy length minus one."""
+    name order) and classified; ``loewy_rhs`` is Loewy length minus one and
+    ``lhs`` the estimate of derdim(A), None when the pair is inapplicable."""
     algebra, key, classification = node.pair.algebra, node.key, node.classification
     summands, names = list(node.pair.summands), list(node.summand_names)
 
-    M = direct_sum(algebra, list(summands)).rep
-    ann = annihilator(M)
-
+    M = direct_sum(algebra, summands).rep
     if classification in ("zero", "proper-support"):
         return BoundReport(algebra.name, key, classification, False,
-                           ann.dim, None, None, None, None, None, None,
-                           loewy_rhs, "inapplicable",
+                           annihilator(M).dim, None, None, None, None, None,
+                           None, loewy_rhs, "inapplicable",
                            ("the annihilator contains idempotents: the bound "
                             "addresses tau-tilting modules",))
 
-    notes: list[str] = []
+    C, ann, MC = quotient_by_annihilator(algebra, M)
     r = ann.nilpotency_index()
-    notes.append(f"annihilator has dimension {ann.dim}, nilpotency index {r}")
+    notes = [f"annihilator has dimension {ann.dim}, nilpotency index {r}"]
 
-    endo = endo_algebra(list(summands), labels=names)
+    endo = endo_algebra(summands, labels=names)
     B = quiver_presentation(endo, name=f"End[{algebra.name}:{key}]")
     d_b = derdim_estimate(B, registry)
 
     # M is tilting over C = A/ann(M); a certified re-check lets estimates
     # transfer along the derived equivalence C ~ B
-    proxy = tilting_proxy_check(algebra, summands)
+    proxy = _tilting_proxy(summands, C, MC, B)
     if proxy.ok:
-        C = proxy.quotient
-        est_c = derdim_estimate(C, registry)
+        # a faithful M has C = A, whose estimate is already at hand
+        est_c = lhs if C is algebra else derdim_estimate(C, registry)
         d_b = merge_estimates(
             d_b, DerdimEstimate(est_c.value, est_c.kind,
                                 f"derived-equivalence:{C.name}"))
@@ -273,7 +272,6 @@ def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
         notes.append("quotient tilting re-check failed: "
                      + "; ".join(proxy.notes))
 
-    lhs = derdim_estimate(algebra, registry)
     if classification == "tilting":
         merged = merge_estimates(
             lhs, DerdimEstimate(d_b.value, d_b.kind,
@@ -309,7 +307,8 @@ def graph_reports(algebra: BoundQuiverAlgebra,
     come validated, named and classified."""
     graph = enumerate_stt(algebra, max_nodes=max_nodes, seed=seed)
     loewy_rhs = loewy_length(algebra) - 1
-    reports = [_node_report(node, registry, loewy_rhs) for node in graph.nodes]
+    lhs = derdim_estimate(algebra, registry)
+    reports = [_node_report(node, registry, loewy_rhs, lhs) for node in graph.nodes]
     return graph, reports
 
 

@@ -279,6 +279,35 @@ def test_enumeration_validates_only_the_root(corpus_algebras, monkeypatch):
                                      node.pair.support).ok, (A.name, node.key)
 
 
+def test_enumeration_names_only_the_new_summands(corpus_algebras, monkeypatch):
+    named, steps = [], []
+    name_of, down = IsoRegistry.name_of, taubound.mutation.mutate_down
+
+    def counting_name_of(self, rep):
+        named.append(rep)
+        return name_of(self, rep)
+
+    def counting_down(*args, **kwargs):
+        step = down(*args, **kwargs)
+        steps.append(step)
+        return step
+
+    monkeypatch.setattr(IsoRegistry, "name_of", counting_name_of)
+    monkeypatch.setattr(taubound.mutation, "mutate_down", counting_down)
+    for A in corpus_algebras.values():
+        named.clear()
+        steps.clear()
+        g = enumerate_stt(A)
+        new_summands = sum(step.added is not None for step in steps)
+        assert len(named) <= A.n_vertices + new_summands, A.name
+        # the carried names are the ones a fresh registry gives, slot by slot
+        for node in g.nodes:
+            reg = IsoRegistry(A)
+            assert node.summand_names == tuple(
+                compact_label(name_of(reg, s)) for s in node.pair.summands)
+            assert key_of(node.pair) == node.key
+
+
 # ---------------------------------------------------------------------------
 # budget and determinism
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import taubound.reports
 from taubound import InputError, parse_algebra_text
 from taubound.algebra import loewy_length
 from taubound.decompose import decompose
@@ -219,6 +220,43 @@ def test_graph_reports_agree_with_single_pair_reports(corpus_algebras,
             assert alone.to_json_dict() == report.to_json_dict(), node.key
             assert node.classification == classify_pair(
                 A, summands, node.pair.support), node.key
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(taubound.reports, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(taubound.reports, name, counting)
+    return calls
+
+
+def test_graph_reports_build_each_node_fact_once(corpus_algebras, monkeypatch):
+    counted = ("endo_algebra", "quiver_presentation", "annihilator",
+               "derdim_estimate")
+    calls = {name: _count_calls(monkeypatch, name) for name in counted}
+    for A in corpus_algebras.values():
+        for c in calls.values():
+            c.clear()
+        graph, _ = graph_reports(A)
+        sincere = sum(n.classification in ("tilting", "tau-tilting-not-tilting")
+                      for n in graph.nodes)
+        # End(M) once over A and once over C, each presented once
+        assert len(calls["endo_algebra"]) == 2 * sincere, A.name
+        assert len(calls["quiver_presentation"]) == 2 * sincere, A.name
+        assert len(calls["annihilator"]) == graph.n_nodes, A.name
+        assert sum(args[0] is A for args in calls["derdim_estimate"]) == 1, A.name
+
+
+def test_inapplicable_report_skips_the_ambient_estimate(arrow_loop, monkeypatch):
+    A = arrow_loop
+    calls = _count_calls(monkeypatch, "derdim_estimate")
+    rep = derdim_bound_report(A, [simple(A, 0)])
+    assert rep.classification == "proper-support"
+    assert not any(args[0] is A for args in calls)
 
 
 def test_report_refuses_a_decomposable_listed_summand(arrow_loop):
