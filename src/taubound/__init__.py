@@ -4,7 +4,7 @@ derived-dimension bound reports."""
 
 from .algebra import (Arrow, BoundQuiverAlgebra, Ideal, Quiver,
                       construct_algebra, delete_vertices, factor_algebra,
-                      loewy_length, make_relation, radical)
+                      loewy_length, make_relation, opposite, radical)
 from .decompose import Decomposition, decompose, iso_test
 from .endo import (DerdimEstimate, derdim_estimate, dynkin_type, endo_algebra,
                    is_hereditary, merge_estimates, quiver_presentation)
@@ -21,7 +21,7 @@ from .reports import (BoundReport, TiltingProxyReport, canonical_json,
                       derdim_bound_report, export_graph_dot,
                       export_graph_json, graph_reports,
                       quotient_by_annihilator, tilting_proxy_check)
-from .reps import (ModMap, Rep, annihilator, cokernel, direct_sum, ext1_dim,
+from .reps import (ModMap, Rep, annihilator, cokernel, direct_sum, dual, ext1_dim,
                    global_dimension, hom_basis, hom_dim, image, injective_rep,
                    is_faithful, kernel, minimal_presentation, projective,
                    projective_cover, projective_dimension, simple, zero_rep)
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Arrow", "BoundQuiverAlgebra", "Ideal", "Quiver", "construct_algebra",
     "delete_vertices", "factor_algebra", "loewy_length", "make_relation",
-    "radical",
+    "opposite", "radical",
     "Decomposition", "decompose", "iso_test",
     "DerdimEstimate", "derdim_estimate", "dynkin_type", "endo_algebra",
     "is_hereditary", "merge_estimates", "quiver_presentation",
@@ -47,7 +47,7 @@ __all__ = [
     "BoundReport", "TiltingProxyReport", "canonical_json",
     "derdim_bound_report", "export_graph_dot", "export_graph_json",
     "graph_reports", "quotient_by_annihilator", "tilting_proxy_check",
-    "ModMap", "Rep", "annihilator", "cokernel", "direct_sum", "ext1_dim",
+    "ModMap", "Rep", "annihilator", "cokernel", "direct_sum", "dual", "ext1_dim",
     "global_dimension", "hom_basis", "hom_dim", "image", "injective_rep", "is_faithful",
     "kernel", "minimal_presentation", "projective", "projective_cover",
     "projective_dimension", "simple", "zero_rep",

@@ -415,6 +415,19 @@ def construct_algebra(name: str, field: Field, quiver: Quiver,
     return alg
 
 
+def opposite(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
+    """A^op: every arrow turned round and every relation word reversed.
+    Arrow i of the result is arrow i of ``algebra`` reversed, so the k-dual
+    of a module transposes its arrow matrices in place (``reps.dual``)."""
+    q = algebra.quiver
+    quiver = Quiver(q.vertices, tuple(Arrow(a.label, a.target, a.source)
+                                      for a in q.arrows))
+    relations = [make_relation(algebra.field, quiver,
+                               [(c, p.arrows[::-1]) for c, p in rel])
+                 for rel in algebra.relations]
+    return construct_algebra(algebra.name + "^op", algebra.field, quiver, relations)
+
+
 # ---------------------------------------------------------------------------
 # Two-sided ideals
 

@@ -1,12 +1,15 @@
 """Mutation of support pairs and the exchange graph.
 
-One summand of a valid pair is exchanged at a time.  The computable
-direction is "down": when the chosen summand X is not generated by the
-rest, a minimal left approximation X -> Y into the additive closure of the
-remaining summands has an indecomposable cokernel (the replacement), or a
-zero cokernel (X leaves the module half and a vertex joins the support).
-Every pair sits below the free pair in the generation order, so a
-breadth-first search using only down mutations visits the whole graph.
+One summand of a valid pair is exchanged at a time.  The direction
+computed on the nose is "down": when the chosen summand X is not generated
+by the rest, a minimal left approximation X -> Y into the additive closure
+of the remaining summands has an indecomposable cokernel (the replacement),
+or a zero cokernel (X leaves the module half and a vertex joins the
+support).  Every pair sits below the free pair in the generation order, so
+a breadth-first search using only down mutations visits the whole graph.
+An "up" exchange is a down exchange over the opposite algebra: (M, P) |->
+(Tr M_np + P*, M_p*) reverses the order between the pairs over A and over
+A^op (Adachi-Iyama-Reiten 2014, Thm 2.14), and Tr X = D(tau X).
 
 Minimality of the approximation is certified on the nose: f: X -> Y is
 left minimal iff the left ideal of endomorphisms of Y killing f lies in
@@ -24,13 +27,14 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import BoundQuiverAlgebra
+from .algebra import BoundQuiverAlgebra, opposite
 from .decompose import _indec_iso, decompose, iso_test
 from .exceptions import CertificationError, InputError
 from .linalg import Mat, Span, nullspace
-from .reps import (ModMap, Rep, acts_nilpotently, cokernel, direct_sum, hom_basis,
+from .reps import (ModMap, Rep, acts_nilpotently, cokernel, direct_sum, dual, hom_basis,
                    linear_combination, projective, simple, zero_map, zero_rep)
-from .tau import SttPair, _classify_valid_pair, hom_to_tau, validate_stt_pair
+from .tau import (SttPair, _classify_valid_pair, hom_to_tau, tau, tau_data,
+                  validate_stt_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +152,8 @@ class MutationStep:
 def mutate_down(pair: SttPair, slot: int, seed: int = 0) -> MutationStep:
     """Exchange the module summand at ``slot`` downwards; requires that the
     summand is not generated by the others, and that the listed summands
-    are the valid pair's indecomposable summands (``mutate`` checks this)."""
+    are the valid pair's indecomposable summands (``mutate`` checks this).
+    A failed certificate names the algebra, the slot and the summand."""
     A = pair.algebra
     if not (0 <= slot < len(pair.summands)):
         raise InputError(f"no module summand at slot {slot}")
@@ -158,6 +163,16 @@ def mutate_down(pair: SttPair, slot: int, seed: int = 0) -> MutationStep:
         raise InputError(
             "summand is generated by the others; this slot only mutates upwards"
         )
+    try:
+        return _exchange_down(pair, X, rest, seed)
+    except CertificationError as err:
+        raise CertificationError(
+            f"mutation of {A.name} at slot {slot} (summand {X.dims_str()}) "
+            f"failed certification: {err}") from err
+
+
+def _exchange_down(pair: SttPair, X: Rep, rest: list[Rep], seed: int) -> MutationStep:
+    A = pair.algebra
     f, _ = minimal_left_approximation(X, rest)
     C, _ = cokernel(f)
     if C.dim_total == 0:
@@ -167,27 +182,23 @@ def mutate_down(pair: SttPair, slot: int, seed: int = 0) -> MutationStep:
                       if v not in pair.support
                       and all(s.dims[v] == 0 for s in rest)]
         if len(candidates) != 1:
-            raise CertificationError(
-                f"mutation failed certification: support completion is not "
-                f"unique ({len(candidates)} candidate vertices)"
-            )
+            raise CertificationError(f"support completion is not unique "
+                                     f"({len(candidates)} candidate vertices)")
         v = candidates[0]
         new_pair = SttPair(A, tuple(rest), tuple(sorted(pair.support + (v,))))
         return MutationStep(new_pair, X, None, v)
     dec = decompose(C, seed=seed)
     if len(dec.class_reps) != 1 or dec.multiplicities[0] != 1:
-        raise CertificationError(
-            f"mutation failed certification: the exchange cokernel decomposed "
-            f"into {dec.multiplicities} copies instead of one indecomposable"
-        )
+        raise CertificationError(f"the exchange cokernel decomposed into "
+                                 f"{dec.multiplicities} copies instead of one "
+                                 f"indecomposable")
     if any(_indec_iso(C, R) is not None for R in rest):
-        raise CertificationError("mutation failed certification: the exchange "
-                                 "cokernel is isomorphic to a remaining summand")
+        raise CertificationError("the exchange cokernel is isomorphic to a "
+                                 "remaining summand")
     new_pair = SttPair(A, tuple(rest) + (C,), pair.support)
     defect = hom_to_tau(new_pair.module())
     if defect:
-        raise CertificationError("mutation failed certification: Hom(M, tau M) "
-                                 f"has dimension {defect}")
+        raise CertificationError(f"Hom(M, tau M) has dimension {defect}")
     return MutationStep(new_pair, X, C, None)
 
 
@@ -364,11 +375,12 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
     return ExchangeGraph(algebra, tuple(nodes), tuple(edges))
 
 
-def mutate(pair: SttPair, slot: int, seed: int = 0,
-           max_nodes: int = 4096) -> SttPair:
+def mutate(pair: SttPair, slot: int, seed: int = 0) -> SttPair:
     """Exchange the summand at ``slot`` (an index into the module summands,
     or, counting onwards, into the support vertices).  Down mutations are
-    computed directly; up mutations are read off the enumerated graph."""
+    computed directly.  An up mutation is a down mutation of the dual pair
+    over A^op at the chosen slot's image; the other summands are kept, and
+    only the new one is carried back."""
     A = pair.algebra
     val = validate_stt_pair(A, pair.summands, pair.support, seed=seed)
     if not val.ok:
@@ -376,26 +388,32 @@ def mutate(pair: SttPair, slot: int, seed: int = 0,
     if val.summand_classes != len(pair.summands):
         raise InputError("cannot mutate a pair that lists a decomposable summand")
     n_mods = len(pair.summands)
-    if 0 <= slot < n_mods:
-        X = pair.summands[slot]
-        rest = [s for i, s in enumerate(pair.summands) if i != slot]
-        if not fac_contains(rest, X):
-            return mutate_down(pair, slot, seed=seed).pair
-        removed_name = None
-    elif n_mods <= slot < n_mods + len(pair.support):
-        lab = A.quiver.vertices[pair.support[slot - n_mods]]
-        removed_name = compact_label(f"P({lab})")
-    else:
+    if not 0 <= slot < n_mods + len(pair.support):
         raise InputError(f"slot {slot} out of range for the pair")
+    others = tuple(s for i, s in enumerate(pair.summands) if i != slot)
+    if slot < n_mods and not fac_contains(others, pair.summands[slot]):
+        return mutate_down(pair, slot, seed=seed).pair
+    Aop = opposite(A)
+    if slot < n_mods:
+        # the summand is generated by the others, so it is not projective
+        chosen, support = dual(tau(pair.summands[slot]), Aop), pair.support
+    else:
+        v = pair.support[slot - n_mods]
+        chosen = projective(Aop, v)
+        support = tuple(w for w in pair.support if w != v)
 
-    registry = IsoRegistry(A, seed=seed)
-    graph = enumerate_stt(A, max_nodes=max_nodes, seed=seed, registry=registry)
-    key = pair_key(sorted(compact_label(registry.name_of(s)) for s in pair.summands))
-    if removed_name is None:
-        removed_name = compact_label(registry.name_of(pair.summands[slot]))
-    # the up mutation at this slot is the unique edge into our node whose
-    # replacement is the chosen summand
-    for e in graph.edges:
-        if e.dst == key and e.added == removed_name:
-            return graph.node(e.src).pair
-    raise RuntimeError(f"no upward exchange found for slot {removed_name} at {key}")
+    # the dual pair (Tr M_np + P*, M_p*) over A^op, the chosen slot first
+    op_summands, op_support = [chosen], []
+    for Y in others:
+        td = tau_data(Y)
+        if td.tau.dim_total:
+            op_summands.append(dual(td.tau, Aop))
+        else:
+            op_support.append(td.presentation.p0_vertices[0])   # Y = P(v)
+    op_summands += [projective(Aop, w) for w in support]
+    step = mutate_down(SttPair(Aop, tuple(op_summands), tuple(sorted(op_support))),
+                       0, seed=seed)
+    # a new summand over A^op is never projective: it would lie in add(rest)
+    new = (projective(A, step.new_support_vertex) if step.added is None
+           else dual(tau(step.added), A))
+    return SttPair(A, others + (new,), support)

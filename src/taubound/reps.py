@@ -149,6 +149,13 @@ def injective_rep(algebra: BoundQuiverAlgebra, v: int) -> Rep:
     return Rep(A, dims, maps, check=False)
 
 
+def dual(M: Rep, opposite: BoundQuiverAlgebra) -> Rep:
+    """D M = Hom_k(M, k) over ``opposite``, the opposite of M's algebra as
+    ``algebra.opposite`` builds it: every arrow matrix is transposed, and
+    the reversed relation words still act by zero."""
+    return Rep(opposite, M.dims, [m.transpose() for m in M.maps], check=False)
+
+
 # ---------------------------------------------------------------------------
 # Module homomorphisms
 

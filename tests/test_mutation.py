@@ -11,16 +11,18 @@ import time
 import pytest
 
 import taubound.mutation
-from taubound import CertificationError, InputError
+from taubound import CertificationError, InputError, parse_algebra_text
+from taubound.algebra import opposite
+from taubound.decompose import iso_test
 from taubound.linalg import Mat
 from taubound.mutation import (IsoRegistry, SttPair, _certify_left_minimal,
                                compact_label, enumerate_stt, fac_contains,
                                minimal_left_approximation, mutate,
                                mutate_down, pair_key)
-from taubound.reps import (Rep, cokernel, direct_sum, hom_basis, projective,
-                           simple, zero_map)
+from taubound.reps import (Rep, cokernel, direct_sum, dual, hom_basis,
+                           injective_rep, projective, simple, zero_map)
 from taubound.reports import export_graph_json
-from taubound.tau import validate_stt_pair
+from taubound.tau import tau, validate_stt_pair
 
 
 def key_of(pair, seed=0):
@@ -184,16 +186,25 @@ def edge_slots(g, e):
     return down, up
 
 
-def test_mutation_is_an_involution_on_every_edge(corpus_algebras):
+def test_mutation_is_an_involution_on_every_edge(corpus_algebras, monkeypatch):
     t0 = time.time()
-    for A in corpus_algebras.values():
-        g = enumerate_stt(A)
+    graphs = [enumerate_stt(A) for A in corpus_algebras.values()]
+    enumerations = []
+
+    def counting(*args, **kwargs):
+        enumerations.append(args)
+        return enumerate_stt(*args, **kwargs)
+
+    # up-steps go through A^op, never through the exchange graph
+    monkeypatch.setattr(taubound.mutation, "enumerate_stt", counting)
+    for g in graphs:
         for e in g.edges:
             down, up = edge_slots(g, e)
             fwd = mutate(g.node(e.src).pair, down)
             assert key_of(fwd) == e.dst
             back = mutate(g.node(e.dst).pair, up)
             assert key_of(back) == e.src
+    assert enumerations == []
     assert time.time() - t0 < 10.0
 
 
@@ -256,9 +267,19 @@ def test_mutate_refuses_a_decomposable_listed_summand(arrow_loop):
 
 
 def test_mutate_down_refuses_a_non_unique_support_completion(line3):
-    # the rest is empty and vanishes at all three vertices
-    with pytest.raises(CertificationError, match="not unique"):
+    # the rest is empty and vanishes at all three vertices; the refusal
+    # names the algebra, the slot and the exchanged summand's dimensions
+    with pytest.raises(CertificationError,
+                       match=r"^mutation of line3 at slot 0 \(summand \(1,1,1\)\) "
+                             r"failed certification: support completion is "
+                             r"not unique \(3 candidate vertices\)$"):
         mutate_down(SttPair(line3, (projective(line3, 0),), ()), 0)
+    op = opposite(line3)
+    with pytest.raises(CertificationError,
+                       match=r"^mutation of line3\^op at slot 0 \(summand "
+                             r"\(1,0,0\)\) failed certification: support "
+                             r"completion is not unique"):
+        mutate_down(SttPair(op, (projective(op, 0),), ()), 0)
 
 
 def test_enumeration_validates_only_the_root(corpus_algebras, monkeypatch):
@@ -306,6 +327,144 @@ def test_enumeration_names_only_the_new_summands(corpus_algebras, monkeypatch):
             assert node.summand_names == tuple(
                 compact_label(name_of(reg, s)) for s in node.pair.summands)
             assert key_of(node.pair) == node.key
+
+
+# ---------------------------------------------------------------------------
+# duality with the opposite algebra (Adachi-Iyama-Reiten 2014, Thm 2.14)
+
+
+# Preprojective A2 and self-injective Nakayama (2, 2) are the same algebra
+# up to arrow names; the benchmark's single-pair walk runs on both.
+PREPROJ2 = """algebra preproj2
+field Fp 32003
+vertices 1 2
+arrow a1: 1 -> 2
+arrow b1: 2 -> 1
+relations
+  a1*b1
+  b1*a1
+end
+"""
+
+NAKAYAMA2_2 = """algebra nakayama2_2
+field Fp 32003
+vertices 1 2
+arrow c1: 1 -> 2
+arrow c2: 2 -> 1
+relations
+  c1*c2
+  c2*c1
+end
+"""
+
+KRONECKER = """algebra kronecker
+field Fp 32003
+vertices 1 2
+arrow a: 1 -> 2
+arrow b: 1 -> 2
+"""
+
+
+def same_pair(p, q):
+    """Equal supports and summands matched one to one by isomorphism."""
+    if sorted(p.support) != sorted(q.support) or \
+            sorted(x.dims for x in p.summands) != sorted(y.dims for y in q.summands):
+        return False
+    return all(sum(iso_test(x, y).isomorphic for y in q.summands) == 1
+               for x in p.summands)
+
+
+def dual_pair(pair, op):
+    """(Tr M_np + P*, M_p*) over ``op``; a projective summand is told by a
+    zero translate and its vertex by isomorphism with P(v)."""
+    A = pair.algebra
+    summands, support = [], []
+    for X in pair.summands:
+        tX = tau(X)
+        if tX.dim_total:
+            summands.append(dual(tX, op))
+        else:
+            [v] = [v for v in range(A.n_vertices)
+                   if iso_test(X, projective(A, v)).isomorphic]
+            support.append(v)
+    summands += [projective(op, v) for v in pair.support]
+    return SttPair(op, tuple(summands), tuple(sorted(support)))
+
+
+def test_opposite_of_the_opposite_is_the_algebra(corpus_algebras):
+    for A in corpus_algebras.values():
+        op = opposite(A)
+        assert op.name == A.name + "^op" and op.dim == A.dim
+        back = opposite(op)
+        assert back.quiver == A.quiver
+        assert back.relations == A.relations
+        assert back.basis == A.basis
+
+
+def test_duality_pieces(corpus_algebras):
+    for A in corpus_algebras.values():
+        op = opposite(A)
+        for v in range(A.n_vertices):
+            assert iso_test(dual(injective_rep(A, v), op),
+                            projective(op, v)).isomorphic, (A.name, v)
+        for node in enumerate_stt(A).nodes:
+            for X in node.pair.summands:
+                DX = dual(X, op)
+                # the transposed matrices satisfy the reversed relations
+                Rep(op, DX.dims, DX.maps)
+                DDX = dual(DX, A)
+                assert DDX.dims == X.dims and DDX.maps == X.maps
+                tX = tau(X)
+                if tX.dim_total:
+                    TrX = dual(tX, op)
+                    assert iso_test(dual(tau(TrX), A), X).isomorphic, \
+                        (A.name, node.key, X.dims)
+
+
+def test_opposite_reverses_the_exchange_graph(corpus_algebras):
+    algebras = dict(corpus_algebras)
+    for text in (PREPROJ2, NAKAYAMA2_2):
+        A = parse_algebra_text(text)
+        algebras[A.name] = A
+    for name, A in algebras.items():
+        op = opposite(A)
+        g, gop = enumerate_stt(A), enumerate_stt(op)
+        assert g.n_nodes == gop.n_nodes, name
+        image = {}
+        for node in g.nodes:
+            dp = dual_pair(node.pair, op)
+            assert validate_stt_pair(op, dp.summands, dp.support).ok, \
+                (name, node.key)
+            [image[node.key]] = [m.key for m in gop.nodes if same_pair(dp, m.pair)]
+        assert len(set(image.values())) == gop.n_nodes
+        reversed_edges = [(image[e.dst], image[e.src]) for e in g.edges]
+        assert sorted(reversed_edges) == sorted((e.src, e.dst) for e in gop.edges)
+
+
+def test_up_mutation_undoes_down_steps_on_kronecker():
+    # tau-tilting infinite, so no enumeration could answer these up-steps
+    A = parse_algebra_text(KRONECKER)
+    frontier = [SttPair(A, (projective(A, 0), projective(A, 1)), ())]
+    ups = 0
+    for _ in range(3):
+        reached = []
+        for pair in frontier:
+            for slot, X in enumerate(pair.summands):
+                if fac_contains(pair.summands[:slot] + pair.summands[slot + 1:], X):
+                    continue
+                step = mutate_down(pair, slot)
+                below = step.pair
+                if step.added is not None:
+                    up = len(below.summands) - 1
+                else:
+                    up = len(below.summands) + below.support.index(
+                        step.new_support_vertex)
+                assert same_pair(mutate(below, up), pair)
+                ups += 1
+                reached.append(below)
+        frontier = reached
+    assert ups == 5
+    assert {X.dims for X in frontier[0].summands} == {(3, 4), (4, 5)}
 
 
 # ---------------------------------------------------------------------------
