@@ -1,16 +1,40 @@
 """Dense exact linear algebra over a coefficient field.
 
-Matrices are small (desk scale throughout), so plain Gaussian elimination
-over exact field elements is both fast enough and fully deterministic.
-Row reduction always normalises pivots to 1 and eliminates above and below,
-so reduced forms, kernels and solution choices are canonical.
+Matrices are small (desk scale throughout: most row reductions see a few
+cells, most products a single one), so plain Gaussian elimination in pure
+Python is both fast enough and fully deterministic.  Row reduction always
+normalises pivots to 1 and eliminates above and below, so reduced forms,
+kernels and solution choices are canonical.
+
+The hot loops (``Mat.mul``, ``rref``, ``Span``) skip the per-scalar
+``Field`` method calls and work on the elements directly, one path per
+field:
+
+* Fp: elements are canonical ints in [0, p).  A product entry is
+  ``sum(map(mul, row, col)) % p``, an elimination step ``(x - c*y) % p``,
+  and an element is zero exactly when it is falsy.  Every result is again
+  canonical; inputs must be (``PrimeField`` only ever hands out such ints).
+* Q: elements are ``Fraction`` instances and the same loops use the
+  ``Fraction`` operators; ``Fraction(0)`` is falsy too.
+
+``Mat(...)`` is the edge where outside data comes in, so it checks the
+shape.  Results built here (products, transposes, reduced forms, zero and
+identity matrices) already have the right shape and go through the
+private ``Mat._make``, which neither re-tuples nor re-checks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import mul as _mul
 from typing import Optional, Sequence
 
-from .fields import Field
+from .fields import Field, PrimeField
+
+
+def _modulus(field: Field) -> int:
+    """p for Fp, 0 for Q: selects the kernel's arithmetic path."""
+    return field.p if type(field) is PrimeField else 0
 
 
 class Mat:
@@ -28,6 +52,16 @@ class Mat:
         self.rows = rows
 
     @classmethod
+    def _make(cls, field: Field, nrows: int, ncols: int, rows: tuple) -> "Mat":
+        """A matrix from a tuple of row tuples known to be nrows x ncols."""
+        m = object.__new__(cls)
+        m.field = field
+        m.nrows = nrows
+        m.ncols = ncols
+        m.rows = rows
+        return m
+
+    @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Mat":
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
@@ -35,17 +69,14 @@ class Mat:
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Mat":
-        z = field.zero
-        return cls(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
+        row = (field.zero,) * ncols
+        return cls._make(field, nrows, ncols, (row,) * nrows)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
         z, o = field.zero, field.one
-        return cls(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def column(cls, field: Field, entries: Sequence) -> "Mat":
-        return cls(field, len(entries), 1, [[e] for e in entries])
+        return cls._make(field, n, n, tuple(
+            tuple(o if i == j else z for j in range(n)) for i in range(n)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -62,8 +93,7 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols}, {self.rows})"
 
     def is_zero(self) -> bool:
-        zero = self.field.is_zero
-        return all(zero(x) for row in self.rows for x in row)
+        return not any(map(any, self.rows))
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
@@ -71,36 +101,24 @@ class Mat:
     def add(self, other: "Mat") -> "Mat":
         self._check_same_shape(other)
         f = self.field
-        return Mat(
-            f,
-            self.nrows,
-            self.ncols,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return Mat._make(f, self.nrows, self.ncols, tuple(
+            tuple(map(f.add, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
 
     def sub(self, other: "Mat") -> "Mat":
         self._check_same_shape(other)
         f = self.field
-        return Mat(
-            f,
-            self.nrows,
-            self.ncols,
-            [
-                [f.sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return Mat._make(f, self.nrows, self.ncols, tuple(
+            tuple(map(f.sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
 
     def scale(self, c) -> "Mat":
         f = self.field
-        return Mat(f, self.nrows, self.ncols, [[f.mul(c, a) for a in row] for row in self.rows])
+        return Mat._make(f, self.nrows, self.ncols, tuple(
+            tuple(f.mul(c, a) for a in row) for row in self.rows))
 
     def neg(self) -> "Mat":
         f = self.field
-        return Mat(f, self.nrows, self.ncols, [[f.neg(a) for a in row] for row in self.rows])
+        return Mat._make(f, self.nrows, self.ncols, tuple(
+            tuple(map(f.neg, row)) for row in self.rows))
 
     def mul(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
@@ -108,40 +126,32 @@ class Mat:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         f = self.field
-        zero = f.zero
-        ocols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        if other.nrows == 0:
-            return Mat.zeros(f, self.nrows, other.ncols)
-        out = []
-        for row in self.rows:
-            new_row = []
-            for col in ocols:
-                acc = zero
-                for a, b in zip(row, col):
-                    acc = f.add(acc, f.mul(a, b))
-                new_row.append(acc)
-            out.append(new_row)
-        if not out:
-            return Mat.zeros(f, 0, other.ncols)
-        return Mat(f, self.nrows, other.ncols, out)
+        # with no inner dimension every column is empty and every entry 0
+        ocols = list(zip(*other.rows)) if other.nrows else [()] * other.ncols
+        p = _modulus(f)
+        if p:
+            rows = tuple(tuple(sum(map(_mul, row, col)) % p for col in ocols)
+                         for row in self.rows)
+        else:
+            zero = f.zero
+            rows = tuple(tuple(sum(map(_mul, row, col), zero) for col in ocols)
+                         for row in self.rows)
+        return Mat._make(f, self.nrows, other.ncols, rows)
 
     def transpose(self) -> "Mat":
         if self.nrows == 0:
-            return Mat(self.field, self.ncols, 0, [() for _ in range(self.ncols)])
-        return Mat(self.field, self.ncols, self.nrows, list(zip(*self.rows)))
+            return Mat._make(self.field, self.ncols, 0, ((),) * self.ncols)
+        return Mat._make(self.field, self.ncols, self.nrows, tuple(zip(*self.rows)))
 
     def apply(self, vec: Sequence) -> tuple:
         """Multiply by a column vector given as a flat sequence."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        f = self.field
-        out = []
-        for row in self.rows:
-            acc = f.zero
-            for a, x in zip(row, vec):
-                acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return tuple(out)
+        p = _modulus(self.field)
+        if p:
+            return tuple(sum(map(_mul, row, vec)) % p for row in self.rows)
+        zero = self.field.zero
+        return tuple(sum(map(_mul, row, vec), zero) for row in self.rows)
 
     def _check_same_shape(self, other: "Mat"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -178,29 +188,44 @@ def vstack(field: Field, mats: Sequence[Mat], ncols: int) -> Mat:
 def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
     f = mat.field
-    rows = [list(r) for r in mat.rows]
+    p = _modulus(f)
+    rows = list(mat.rows)
+    nr = len(rows)
     pivots: list[int] = []
     r = 0
     for c in range(mat.ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not f.is_zero(rows[i][c]):
-                pivot_row = i
+        if r == nr:
+            break
+        for i in range(r, nr):
+            if rows[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not f.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        prow = rows[i]
+        rows[i] = rows[r]
+        x = prow[c]
+        if p:
+            if x != 1:
+                inv = pow(x, -1, p)
+                prow = [y * inv % p for y in prow]
+            for i in range(nr):
+                row = rows[i]
+                factor = row[c]
+                if factor and i != r:
+                    rows[i] = [(a - factor * b) % p for a, b in zip(row, prow)]
+        else:
+            if x != 1:
+                inv = 1 / x
+                prow = [y * inv for y in prow]
+            for i in range(nr):
+                row = rows[i]
+                factor = row[c]
+                if factor and i != r:
+                    rows[i] = [a - factor * b for a, b in zip(row, prow)]
+        rows[r] = prow
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
-    return Mat(f, mat.nrows, mat.ncols, rows), tuple(pivots)
+    return Mat._make(f, mat.nrows, mat.ncols, tuple(map(tuple, rows))), tuple(pivots)
 
 
 def rank(mat: Mat) -> int:
@@ -305,58 +330,67 @@ class Span:
         self.field = field
         self.n = n
         self.col_order = tuple(col_order) if col_order is not None else tuple(range(n))
-        if sorted(self.col_order) != list(range(n)):
+        if col_order is not None and sorted(self.col_order) != list(range(n)):
             raise ValueError("col_order must be a permutation of range(n)")
+        self._p = _modulus(field)
         self.rows: list[tuple] = []
         self.pivots: list[int] = []  # parallel to rows; values are coordinates
+        self._ranks: list[int] = []  # parallel to rows; positions in col_order
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def reduce(self, vec: Sequence) -> tuple:
-        f = self.field
-        v = list(vec)
-        if len(v) != self.n:
+        if len(vec) != self.n:
             raise ValueError("vector length mismatch")
+        v = vec
+        p = self._p
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
-            if not f.is_zero(c):
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+            if c:
+                if p:
+                    v = [(x - c * y) % p for x, y in zip(v, row)]
+                else:
+                    v = [x - c * y for x, y in zip(v, row)]
         return tuple(v)
 
     def contains(self, vec: Sequence) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def add(self, vec: Sequence) -> bool:
         """Insert a vector; returns True when the dimension grew."""
-        f = self.field
         v = self.reduce(vec)
-        piv = None
-        for c in self.col_order:
-            if not f.is_zero(v[c]):
-                piv = c
+        for at, piv in enumerate(self.col_order):
+            if v[piv]:
                 break
-        if piv is None:
+        else:
             return False
-        inv = f.inv(v[piv])
-        v = tuple(f.mul(inv, x) for x in v)
+        p = self._p
+        x = v[piv]
+        if x != 1:
+            if p:
+                inv = pow(x, -1, p)
+                v = tuple(y * inv % p for y in v)
+            else:
+                inv = 1 / x
+                v = tuple(y * inv for y in v)
         # back-reduce existing rows so the span stays fully reduced
         new_rows = []
         for row in self.rows:
             c = row[piv]
-            if f.is_zero(c):
-                new_rows.append(row)
-            else:
-                new_rows.append(tuple(f.sub(x, f.mul(c, y)) for x, y in zip(row, v)))
+            if c:
+                if p:
+                    row = tuple((a - c * b) % p for a, b in zip(row, v))
+                else:
+                    row = tuple(a - c * b for a, b in zip(row, v))
+            new_rows.append(row)
+        # keep the rows sorted by the position of their pivot in col_order
+        k = bisect_left(self._ranks, at)
+        new_rows.insert(k, v)
         self.rows = new_rows
-        self.rows.append(v)
-        self.pivots.append(piv)
-        order = {c: i for i, c in enumerate(self.col_order)}
-        paired = sorted(zip(self.pivots, self.rows), key=lambda t: order[t[0]])
-        self.pivots = [p for p, _ in paired]
-        self.rows = [r for _, r in paired]
+        self.pivots.insert(k, piv)
+        self._ranks.insert(k, at)
         return True
 
     def basis(self) -> list[tuple]:
@@ -366,4 +400,5 @@ class Span:
         s = Span(self.field, self.n, self.col_order)
         s.rows = list(self.rows)
         s.pivots = list(self.pivots)
+        s._ranks = list(self._ranks)
         return s

@@ -16,9 +16,13 @@ left minimal iff the left ideal of endomorphisms of Y killing f lies in
 rad End(Y), that is, iff it acts nilpotently on Y.
 Nothing else about a valid pair is re-proved (Adachi-Iyama-Reiten 2014):
 a zero cokernel needs exactly one vertex outside the support where the
-rest vanishes (Lemma 2.1, Prop. 2.3); a nonzero cokernel must be
+rest vanishes (Lemma 2.1, Prop. 2.3); a nonzero cokernel C must be
 indecomposable, new, and keep the module tau-rigid over A, which passes
-to the support quotient (Lemma 2.1).  By Thm 2.18 both always hold.
+to the support quotient (Lemma 2.1).  The remaining summands R are
+already tau-rigid together, certified where their pair was reached, so
+only the new blocks Hom(C, tau C), Hom(C, tau R) and Hom(R, tau C) are
+checked, with tau of each summand computed once.  By Thm 2.18 both
+always hold.
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ from .decompose import _indec_iso, decompose, iso_test
 from .exceptions import CertificationError, InputError
 from .linalg import Mat, Span, nullspace
 from .reps import (ModMap, Rep, acts_nilpotently, cokernel, direct_sum, dual, hom_basis,
-                   linear_combination, projective, simple, zero_map, zero_rep)
-from .tau import (SttPair, _classify_valid_pair, hom_to_tau, tau, tau_data,
-                  validate_stt_pair)
+                   hom_dim, linear_combination, projective, simple, zero_map, zero_rep)
+from .tau import SttPair, _classify_valid_pair, tau, tau_data, validate_stt_pair
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +65,13 @@ def fac_contains(generators: Sequence[Rep], X: Rep) -> bool:
 # Minimal left approximations
 
 
-def _is_left_approximation(f: ModMap, targets: Sequence[Rep]) -> bool:
-    """Does every hom from f.source into each target factor through f?"""
-    X, Y = f.source, f.target
-    F = X.algebra.field
-    for T in targets:
-        need = hom_basis(X, T)
+def _is_left_approximation(f: ModMap, targets: Sequence[Rep],
+                           needs: Sequence[list[ModMap]]) -> bool:
+    """Does every hom from f.source into each target factor through f?
+    ``needs[i]`` is a basis of Hom(f.source, targets[i])."""
+    Y = f.target
+    F = Y.algebra.field
+    for T, need in zip(targets, needs):
         if not need:
             continue
         have = Span(F, len(need[0].vectorize()))
@@ -106,10 +110,8 @@ def minimal_left_approximation(X: Rep, targets: Sequence[Rep]):
     Returns (f, kept) where kept is the list of (target index, hom) copies
     forming the codomain of f in order."""
     A = X.algebra
-    copies: list[tuple[int, ModMap]] = []
-    for ti, T in enumerate(targets):
-        for h in hom_basis(X, T):
-            copies.append((ti, h))
+    needs = [hom_basis(X, T) for T in targets]
+    copies = [(ti, h) for ti, homs in enumerate(needs) for h in homs]
 
     def build(sel: Sequence[tuple[int, ModMap]]) -> ModMap:
         if not sel:
@@ -127,12 +129,12 @@ def minimal_left_approximation(X: Rep, targets: Sequence[Rep]):
         changed = False
         for i in range(len(copies)):
             trial = copies[:i] + copies[i + 1:]
-            if _is_left_approximation(build(trial), targets):
+            if _is_left_approximation(build(trial), targets, needs):
                 copies = trial
                 changed = True
                 break
     f = build(copies)
-    assert _is_left_approximation(f, targets)
+    assert _is_left_approximation(f, targets, needs)
     _certify_left_minimal(f)
     return f, copies
 
@@ -149,6 +151,11 @@ class MutationStep:
     new_support_vertex: Optional[int]
 
 
+class _UpOnlySlot(InputError):
+    """The summand at the slot is generated by the others, so it mutates
+    only upwards; callers that try every slot skip it."""
+
+
 def mutate_down(pair: SttPair, slot: int, seed: int = 0) -> MutationStep:
     """Exchange the module summand at ``slot`` downwards; requires that the
     summand is not generated by the others, and that the listed summands
@@ -160,7 +167,7 @@ def mutate_down(pair: SttPair, slot: int, seed: int = 0) -> MutationStep:
     X = pair.summands[slot]
     rest = [s for i, s in enumerate(pair.summands) if i != slot]
     if fac_contains(rest, X):
-        raise InputError(
+        raise _UpOnlySlot(
             "summand is generated by the others; this slot only mutates upwards"
         )
     try:
@@ -195,11 +202,13 @@ def _exchange_down(pair: SttPair, X: Rep, rest: list[Rep], seed: int) -> Mutatio
     if any(_indec_iso(C, R) is not None for R in rest):
         raise CertificationError("the exchange cokernel is isomorphic to a "
                                  "remaining summand")
-    new_pair = SttPair(A, tuple(rest) + (C,), pair.support)
-    defect = hom_to_tau(new_pair.module())
+    # tau commutes with direct sums, so the new blocks add up to the
+    # dimension of Hom(M, tau M) for the whole new module
+    tC = tau(C)
+    defect = hom_dim(C, tC) + sum(hom_dim(C, tau(R)) + hom_dim(R, tC) for R in rest)
     if defect:
         raise CertificationError(f"Hom(M, tau M) has dimension {defect}")
-    return MutationStep(new_pair, X, C, None)
+    return MutationStep(SttPair(A, tuple(rest) + (C,), pair.support), X, C, None)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +347,11 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
         key = queue.pop(0)
         pair, names = node_pairs[key]
         for slot in range(len(pair.summands)):
-            X = pair.summands[slot]
-            rest = [s for i, s in enumerate(pair.summands) if i != slot]
-            if fac_contains(rest, X):
+            try:
+                step = mutate_down(pair, slot, seed=seed)
+            except _UpOnlySlot:
                 continue   # mutating this slot goes up; the edge is found
                            # from the other endpoint
-            step = mutate_down(pair, slot, seed=seed)
             # the other summands keep their names and order; only C is new
             new_names = names[:slot] + names[slot + 1:]
             if step.added is None:
@@ -391,8 +399,11 @@ def mutate(pair: SttPair, slot: int, seed: int = 0) -> SttPair:
     if not 0 <= slot < n_mods + len(pair.support):
         raise InputError(f"slot {slot} out of range for the pair")
     others = tuple(s for i, s in enumerate(pair.summands) if i != slot)
-    if slot < n_mods and not fac_contains(others, pair.summands[slot]):
-        return mutate_down(pair, slot, seed=seed).pair
+    if slot < n_mods:
+        try:
+            return mutate_down(pair, slot, seed=seed).pair
+        except _UpOnlySlot:
+            pass   # the summand is generated by the others: an up-step
     Aop = opposite(A)
     if slot < n_mods:
         # the summand is generated by the others, so it is not projective

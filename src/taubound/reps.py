@@ -18,15 +18,17 @@ from .linalg import (Mat, Span, complement_positions, coordinates, nullspace,
 
 
 class Rep:
-    """A representation (right module).  Immutable once constructed."""
+    """A representation (right module).  Immutable once constructed, so
+    ``tau.tau_data`` keeps its result in the ``_tau_data`` slot."""
 
-    __slots__ = ("algebra", "dims", "maps")
+    __slots__ = ("algebra", "dims", "maps", "_tau_data")
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims: Sequence[int],
                  maps: Sequence[Mat], check: bool = True):
         self.algebra = algebra
         self.dims = tuple(dims)
         self.maps = tuple(maps)
+        self._tau_data = None
         if check:
             self._validate()
 

@@ -68,8 +68,9 @@ def nakayama_presentation(pres: Presentation):
     return nu_p1.rep, nu_p0.rep, nu_d1
 
 
-@dataclass
+@dataclass(frozen=True)
 class TauData:
+    """What ``tau_data`` computes for one module; every caller shares it."""
     module: Rep
     presentation: Presentation
     nu_p1: Rep
@@ -80,10 +81,13 @@ class TauData:
 
 
 def tau_data(M: Rep) -> TauData:
-    pres = minimal_presentation(M)
-    nu_p1, nu_p0, nu_d1 = nakayama_presentation(pres)
-    t, incl = kernel(nu_d1)
-    return TauData(M, pres, nu_p1, nu_p0, nu_d1, t, incl)
+    """The presentation and translate of M, computed once per module."""
+    if M._tau_data is None:
+        pres = minimal_presentation(M)
+        nu_p1, nu_p0, nu_d1 = nakayama_presentation(pres)
+        t, incl = kernel(nu_d1)
+        M._tau_data = TauData(M, pres, nu_p1, nu_p0, nu_d1, t, incl)
+    return M._tau_data
 
 
 def tau(M: Rep) -> Rep:

@@ -5,6 +5,7 @@ plus counting oracles computed by brute force over the full list of
 indecomposables (those lists are short enough to write down by hand).
 """
 
+import importlib
 import itertools
 import time
 
@@ -465,6 +466,63 @@ def test_up_mutation_undoes_down_steps_on_kronecker():
         frontier = reached
     assert ups == 5
     assert {X.dims for X in frontier[0].summands} == {(3, 4), (4, 5)}
+
+
+LINE4 = """algebra line4
+field Fp 32003
+vertices 1 2 3 4
+arrow a1: 1 -> 2
+arrow a2: 2 -> 3
+arrow a3: 3 -> 4
+"""
+
+
+def test_enumeration_tests_each_slot_for_fac_once(monkeypatch):
+    calls = []
+    fac = taubound.mutation.fac_contains
+
+    def counting(generators, X):
+        calls.append((frozenset(map(id, generators)), id(X)))
+        return fac(generators, X)
+
+    monkeypatch.setattr(taubound.mutation, "fac_contains", counting)
+    g = enumerate_stt(parse_algebra_text(LINE4))
+    assert g.n_nodes == 42
+    # one call per (node, slot); the node's summands are the objects tested
+    assert len(calls) == len(set(calls)) == sum(len(n.pair.summands) for n in g.nodes)
+
+
+def test_mutate_down_refuses_an_up_only_slot(arrow_loop):
+    A = arrow_loop
+    pair = SttPair(A, (projective(A, 0), simple(A, 0)), ())
+    # S(1) is a quotient of P(1)
+    with pytest.raises(InputError, match="only mutates upwards"):
+        mutate_down(pair, 1)
+
+
+def test_enumeration_presents_each_module_once(monkeypatch):
+    # tau is memoised on each summand, and summands travel through the BFS
+    # as the same objects; only the root validation presents a direct sum
+    presented, added = [], []
+    tau_module = importlib.import_module("taubound.tau")   # not the function tau
+    present, down = tau_module.minimal_presentation, taubound.mutation.mutate_down
+
+    def counting(M):
+        presented.append(M)
+        return present(M)
+
+    def recording_down(*args, **kwargs):
+        step = down(*args, **kwargs)
+        added.append(step.added)
+        return step
+
+    monkeypatch.setattr(tau_module, "minimal_presentation", counting)
+    monkeypatch.setattr(taubound.mutation, "mutate_down", recording_down)
+    g = enumerate_stt(parse_algebra_text(LINE4))
+    assert g.n_nodes == 42
+    assert len({id(M) for M in presented}) == len(presented)
+    summands = {id(X) for X in added} | {id(X) for n in g.nodes for X in n.pair.summands}
+    assert len([M for M in presented if id(M) not in summands]) == 1
 
 
 # ---------------------------------------------------------------------------

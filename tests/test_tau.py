@@ -6,14 +6,16 @@ Coxeter transform -C^T C^{-1} of dim M (columns of C = dims of the
 indecomposable projectives), which we compute separately over Q.
 """
 
+import os
+
 import pytest
 
-from taubound import InputError, QQ
+from taubound import InputError, QQ, parse_algebra_text, parse_module_file
 from taubound.algebra import delete_vertices
 from taubound.linalg import Mat, inverse
 from taubound.mutation import enumerate_stt
-from taubound.reps import (Rep, direct_sum, projective, restrict_to_quotient,
-                           simple, zero_rep)
+from taubound.reps import (Rep, direct_sum, hom_dim, projective,
+                           restrict_to_quotient, simple, zero_rep)
 from taubound.tau import (SttPair, classify_pair, hom_to_tau, is_tau_rigid,
                           tau, tau_data, validate_stt_pair)
 
@@ -67,6 +69,40 @@ def test_tau_additivity(line3):
     t_ds = tau(ds)
     assert t_ds.dims == tuple(a + b
                               for a, b in zip(tau(M).dims, tau(N).dims))
+
+
+LINE4 = ("algebra line4\nfield Fp 32003\nvertices 1 2 3 4\n"
+         "arrow a1: 1 -> 2\narrow a2: 2 -> 3\narrow a3: 3 -> 4\n")
+
+KRONECKER = ("algebra kronecker\nfield Fp 32003\nvertices 1 2\n"
+             "arrow a: 1 -> 2\narrow b: 1 -> 2\n")
+
+
+def test_hom_to_tau_of_a_sum_is_the_sum_of_its_blocks(corpus_algebras, arrow_loop):
+    # tau and Hom commute with finite direct sums, which is what lets
+    # mutate_down certify a new summand by its own blocks against the
+    # memoised translates of the others
+    cases = []
+    for A in list(corpus_algebras.values()) + [parse_algebra_text(LINE4)]:
+        cases += [node.pair.summands for node in enumerate_stt(A).nodes
+                  if node.pair.summands]
+    A = arrow_loop
+    loop_simple = parse_module_file(
+        os.path.join(os.path.dirname(__file__), os.pardir, "corpus", "radsquare.mod"), A)
+    cases.append((loop_simple, projective(A, 0), simple(A, 0)))
+    K = parse_algebra_text(KRONECKER)
+    one, zero = K.field.one, K.field.zero
+    regular = Rep(K, (1, 1), (Mat.from_rows(K.field, [[one]]),
+                              Mat.from_rows(K.field, [[zero]])))
+    cases.append((regular, simple(K, 0), projective(K, 1)))
+    defects = []
+    for summands in cases:
+        B = summands[0].algebra
+        whole = hom_to_tau(direct_sum(B, list(summands)).rep)
+        assert whole == sum(hom_dim(X, tau(Y)) for X in summands for Y in summands)
+        defects.append(whole)
+    assert defects[-1] > 0 and defects[-2] > 0
+    assert defects.count(0) == len(defects) - 2
 
 
 # ---------------------------------------------------------------------------
