@@ -11,9 +11,13 @@ An "up" exchange is a down exchange over the opposite algebra: (M, P) |->
 (Tr M_np + P*, M_p*) reverses the order between the pairs over A and over
 A^op (Adachi-Iyama-Reiten 2014, Thm 2.14), and Tr X = D(tau X).
 
-Minimality of the approximation is certified on the nose: f: X -> Y is
-left minimal iff the left ideal of endomorphisms of Y killing f lies in
-rad End(Y), that is, iff it acts nilpotently on Y.
+For pairwise non-isomorphic indecomposables T_i with End(T_i) local with
+residue field k, the copies of T_i in the minimal left approximation of X
+are a basis of Hom(X, T_i) modulo the span of the u . g, g in Hom(X, T_j),
+u in rad(T_j, T_i): that is Hom(T_j, T_i) for j != i and the span of the
+b - λ_b*id for j = i (Auslander-Reiten-Smalø 1995).  Certified: every
+X -> T_i factors through the kept copies, and f: X -> Y is left minimal
+iff the left ideal of End(Y) killing f acts nilpotently on Y.
 Nothing else about a valid pair is re-proved (Adachi-Iyama-Reiten 2014):
 a zero cokernel needs exactly one vertex outside the support where the
 rest vanishes (Lemma 2.1, Prop. 2.3); a nonzero cokernel C must be
@@ -32,11 +36,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import BoundQuiverAlgebra, opposite
-from .decompose import _indec_iso, decompose, iso_test
+from .decompose import _indec_iso, _local_or_split, decompose, iso_test
 from .exceptions import CertificationError, InputError
 from .linalg import Mat, Span, nullspace
 from .reps import (ModMap, Rep, acts_nilpotently, cokernel, direct_sum, dual, hom_basis,
-                   hom_dim, linear_combination, projective, simple, zero_map, zero_rep)
+                   hom_dim, linear_combination, projective, simple, zero_map)
 from .tau import SttPair, _classify_valid_pair, tau, tau_data, validate_stt_pair
 
 
@@ -65,23 +69,6 @@ def fac_contains(generators: Sequence[Rep], X: Rep) -> bool:
 # Minimal left approximations
 
 
-def _is_left_approximation(f: ModMap, targets: Sequence[Rep],
-                           needs: Sequence[list[ModMap]]) -> bool:
-    """Does every hom from f.source into each target factor through f?
-    ``needs[i]`` is a basis of Hom(f.source, targets[i])."""
-    Y = f.target
-    F = Y.algebra.field
-    for T, need in zip(targets, needs):
-        if not need:
-            continue
-        have = Span(F, len(need[0].vectorize()))
-        for u in hom_basis(Y, T):
-            have.add(u.compose(f).vectorize())
-        if not all(have.contains(g.vectorize()) for g in need):
-            return False
-    return True
-
-
 def _certify_left_minimal(f: ModMap):
     """Raise unless {psi in End(Y) : psi . f = 0} is inside rad End(Y).
 
@@ -105,38 +92,47 @@ def _certify_left_minimal(f: ModMap):
 
 
 def minimal_left_approximation(X: Rep, targets: Sequence[Rep]):
-    """A certified minimal left approximation of X into add(targets).
-
-    Returns (f, kept) where kept is the list of (target index, hom) copies
-    forming the codomain of f in order."""
-    A = X.algebra
-    needs = [hom_basis(X, T) for T in targets]
-    copies = [(ti, h) for ti, homs in enumerate(needs) for h in homs]
-
-    def build(sel: Sequence[tuple[int, ModMap]]) -> ModMap:
-        if not sel:
-            return zero_map(X, zero_rep(A))
-        ds = direct_sum(A, [targets[ti] for ti, _ in sel])
-        f = None
-        for (ti, h), incl in zip(sel, ds.inclusions):
-            term = incl.compose(h)
-            f = term if f is None else f.add(term)
-        return f
-
-    # greedy deletion until no copy can be dropped
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(copies)):
-            trial = copies[:i] + copies[i + 1:]
-            if _is_left_approximation(build(trial), targets, needs):
-                copies = trial
-                changed = True
-                break
-    f = build(copies)
-    assert _is_left_approximation(f, targets, needs)
+    """A certified minimal left approximation of X into add(targets), which
+    must be pairwise non-isomorphic indecomposables with split local End;
+    other targets raise CertificationError.  Returns (f, kept) where kept
+    lists the (target index, hom) copies forming the codomain of f in order:
+    the basis homs X -> T_i that are new modulo the radical compositions."""
+    F = X.algebra.field
+    gs = {i: homs for i, T in enumerate(targets) if (homs := hom_basis(X, T))}
+    # comps[j, i][a][c] is the vector of u_a . g_c, u_a a basis hom T_j -> T_i
+    between = {(j, i): hom_basis(targets[j], targets[i]) for j in gs for i in gs}
+    comps = {(j, i): [[u.compose(g).vectorize() for g in gs[j]] for u in us]
+             for (j, i), us in between.items()}
+    vecs = {i: [g.vectorize() for g in homs] for i, homs in gs.items()}
+    kept = []
+    for i in gs:
+        rad = Span(F, len(vecs[i][0]))
+        for w in (w for j in gs if j != i for row in comps[j, i] for w in row):
+            rad.add(w)
+        if len(between[i, i]) > 1:
+            _, lams = _local_or_split(targets[i], between[i, i])
+            if lams is None:
+                raise CertificationError(f"approximation target {targets[i].dims_str()} "
+                                         f"is not indecomposable with split local End")
+            for lam, row in zip(lams, comps[i, i]):
+                for w, g in zip(row, vecs[i]):
+                    rad.add([F.sub(x, F.mul(lam, y)) for x, y in zip(w, g)])
+        kept += [(i, c) for c, g in enumerate(vecs[i]) if rad.add(g)]
+    for i in gs:   # every hom X -> T_i factors through the kept copies
+        have = Span(F, len(vecs[i][0]))
+        for j, c in kept:
+            for row in comps[j, i]:
+                have.add(row[c])
+        if not all(have.contains(g) for g in vecs[i]):
+            raise CertificationError(f"left approximation certificate failed: a hom into "
+                                     f"{targets[i].dims_str()} does not factor through it")
+    kept = [(i, gs[i][c]) for i, c in kept]
+    ds = direct_sum(X.algebra, [targets[i] for i, _ in kept])
+    f = zero_map(X, ds.rep)
+    for (_, h), incl in zip(kept, ds.inclusions):
+        f = f.add(incl.compose(h))
     _certify_left_minimal(f)
-    return f, copies
+    return f, kept
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +327,9 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
         raise InputError("cannot enumerate pairs over the zero algebra")
     if registry is None:
         registry = IsoRegistry(algebra, seed=seed)
+    # valid by construction: each P(v) has local End, their tops differ, tau P(v) = 0
     projs = [projective(algebra, v) for v in range(algebra.n_vertices)]
     root = SttPair(algebra, tuple(projs), ())
-    val = validate_stt_pair(algebra, root.summands, root.support, seed=seed)
-    assert val.ok, "the free pair failed validation"
-
     names, root = _sorted_pair(
         [compact_label(registry.name_of(s)) for s in root.summands], root)
     root_key = pair_key(names)
@@ -352,6 +346,9 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
             except _UpOnlySlot:
                 continue   # mutating this slot goes up; the edge is found
                            # from the other endpoint
+            except CertificationError as err:
+                raise CertificationError(
+                    f"at node {key}, summand {names[slot]}: {err}") from err
             # the other summands keep their names and order; only C is new
             new_names = names[:slot] + names[slot + 1:]
             if step.added is None:
@@ -373,8 +370,8 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
                 queue.append(new_key)
             edges.append(GraphEdge(key, new_key, names[slot], added))
 
-    # every node is already validated: the root above, the others by the
-    # certificate of the mutate_down that reached them
+    # every node is already validated: the root by construction, the others
+    # by the certificate of the mutate_down that reached them
     nodes = []
     for key in order:
         pair, names = node_pairs[key]

@@ -6,8 +6,11 @@ indecomposables (those lists are short enough to write down by hand).
 """
 
 import importlib
+import importlib.util
 import itertools
+import os
 import time
+from collections import Counter
 
 import pytest
 
@@ -15,7 +18,8 @@ import taubound.mutation
 from taubound import CertificationError, InputError, parse_algebra_text
 from taubound.algebra import opposite
 from taubound.decompose import iso_test
-from taubound.linalg import Mat
+from taubound.cli import cli_run
+from taubound.linalg import Mat, Span
 from taubound.mutation import (IsoRegistry, SttPair, _certify_left_minimal,
                                compact_label, enumerate_stt, fac_contains,
                                minimal_left_approximation, mutate,
@@ -24,6 +28,20 @@ from taubound.reps import (Rep, cokernel, direct_sum, dual, hom_basis,
                            injective_rep, projective, simple, zero_map)
 from taubound.reports import export_graph_json
 from taubound.tau import tau, validate_stt_pair
+from conftest import corpus_path
+
+
+def _load_perfbench_algebras():
+    """The benchmark's algebra texts, read from the source checkout."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "algebras.py")
+    spec = importlib.util.spec_from_file_location("perfbench_algebras", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_BENCH = _load_perfbench_algebras()
+LADDER = {name: text for name, text, _ in _BENCH.LADDER_FP + _BENCH.LADDER_Q}
 
 
 def key_of(pair, seed=0):
@@ -161,6 +179,89 @@ def test_left_approximation_and_cokernel(line2):
     assert C.dims == (1, 0)          # the exchange produces S(1)
 
 
+def greedy_approximation_counts(X, targets):
+    """Copies per target of the approximation found by greedy deletion: drop
+    any copy whose removal still leaves a left approximation, until none
+    can be dropped.  Each trial builds its codomain Y and tests that every
+    hom from X into each target factors through X -> Y."""
+    A, F = X.algebra, X.algebra.field
+    needs = [hom_basis(X, T) for T in targets]
+    copies = [(ti, h) for ti, homs in enumerate(needs) for h in homs]
+
+    def is_approximation(sel):
+        ds = direct_sum(A, [targets[ti] for ti, _ in sel])
+        f = zero_map(X, ds.rep)
+        for (_, h), incl in zip(sel, ds.inclusions):
+            f = f.add(incl.compose(h))
+        for T, need in zip(targets, needs):
+            if need:
+                have = Span(F, len(need[0].vectorize()))
+                for u in hom_basis(ds.rep, T):
+                    have.add(u.compose(f).vectorize())
+                if not all(have.contains(g.vectorize()) for g in need):
+                    return False
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(copies)):
+            trial = copies[:i] + copies[i + 1:]
+            if is_approximation(trial):
+                copies, changed = trial, True
+                break
+    return Counter(ti for ti, _ in copies)
+
+
+@pytest.mark.parametrize("name", ["line4", "preproj3", "nakayama3_4",
+                                  "arrow_loop", "line3_q"])
+def test_radical_approximation_matches_greedy_deletion(name, arrow_loop):
+    A = arrow_loop if name == "arrow_loop" else parse_algebra_text(LADDER[name])
+    slots = 0
+    for node in enumerate_stt(A).nodes:
+        summands = node.pair.summands
+        for slot, X in enumerate(summands):
+            rest = summands[:slot] + summands[slot + 1:]
+            if fac_contains(rest, X):
+                continue
+            _, kept = minimal_left_approximation(X, rest)
+            assert Counter(ti for ti, _ in kept) == \
+                greedy_approximation_counts(X, rest), (node.key, slot)
+            slots += 1
+    assert slots
+
+
+def test_left_approximation_refuses_targets_outside_its_precondition(line2):
+    A = line2
+    P1, P2 = projective(A, 0), projective(A, 1)
+    for X in (P1, P2):
+        with pytest.raises(CertificationError, match="does not factor"):
+            minimal_left_approximation(X, [P1, P1])
+    both = direct_sum(A, [P1, P2]).rep
+    with pytest.raises(CertificationError, match="split local"):
+        minimal_left_approximation(P1, [both])
+
+
+def test_approximation_builds_its_codomain_once(monkeypatch):
+    sums, per_call = [], []
+    ds, approx = taubound.mutation.direct_sum, taubound.mutation.minimal_left_approximation
+
+    def counting_sum(*args, **kwargs):
+        sums.append(args)
+        return ds(*args, **kwargs)
+
+    def recording_approx(*args, **kwargs):
+        before = len(sums)
+        out = approx(*args, **kwargs)
+        per_call.append(len(sums) - before)
+        return out
+
+    monkeypatch.setattr(taubound.mutation, "direct_sum", counting_sum)
+    monkeypatch.setattr(taubound.mutation, "minimal_left_approximation", recording_approx)
+    assert enumerate_stt(parse_algebra_text(LINE4)).n_nodes == 42
+    assert per_call and max(per_call) <= 1
+
+
 def test_fac_contains(line2):
     A = line2
     P1, S1, P2 = projective(A, 0), simple(A, 0), projective(A, 1)
@@ -283,7 +384,7 @@ def test_mutate_down_refuses_a_non_unique_support_completion(line3):
         mutate_down(SttPair(op, (projective(op, 0),), ()), 0)
 
 
-def test_enumeration_validates_only_the_root(corpus_algebras, monkeypatch):
+def test_enumeration_validates_no_pair(corpus_algebras, monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
@@ -294,11 +395,21 @@ def test_enumeration_validates_only_the_root(corpus_algebras, monkeypatch):
     for A in corpus_algebras.values():
         calls.clear()
         g = enumerate_stt(A)
-        assert len(calls) == 1
+        assert not calls
         # the whole-pair check stays a reference for every node
         for node in g.nodes:
             assert validate_stt_pair(A, node.pair.summands,
                                      node.pair.support).ok, (A.name, node.key)
+
+
+def test_free_pairs_are_valid(corpus_algebras):
+    # enumerate_stt takes the free pair as valid by construction
+    algebras = list(corpus_algebras.values()) + [parse_algebra_text(t)
+                                                 for t in LADDER.values()]
+    for A in algebras:
+        projs = [projective(A, v) for v in range(A.n_vertices)]
+        val = validate_stt_pair(A, projs, [])
+        assert val.ok and val.summand_classes == A.n_vertices, A.name
 
 
 def test_enumeration_names_only_the_new_summands(corpus_algebras, monkeypatch):
@@ -502,7 +613,7 @@ def test_mutate_down_refuses_an_up_only_slot(arrow_loop):
 
 def test_enumeration_presents_each_module_once(monkeypatch):
     # tau is memoised on each summand, and summands travel through the BFS
-    # as the same objects; only the root validation presents a direct sum
+    # as the same objects; no direct sum is presented
     presented, added = [], []
     tau_module = importlib.import_module("taubound.tau")   # not the function tau
     present, down = tau_module.minimal_presentation, taubound.mutation.mutate_down
@@ -522,7 +633,7 @@ def test_enumeration_presents_each_module_once(monkeypatch):
     assert g.n_nodes == 42
     assert len({id(M) for M in presented}) == len(presented)
     summands = {id(X) for X in added} | {id(X) for n in g.nodes for X in n.pair.summands}
-    assert len([M for M in presented if id(M) not in summands]) == 1
+    assert all(id(M) in summands for M in presented)
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +644,19 @@ def test_budget_exceeded(line3):
     with pytest.raises(CertificationError,
                        match="enumeration budget exceeded"):
         enumerate_stt(line3, max_nodes=3)
+
+
+def test_a_failed_exchange_names_the_node_and_summand(line3, monkeypatch, capsys):
+    def failing(pair, X, rest, seed):
+        raise CertificationError("injected failure")
+
+    monkeypatch.setattr(taubound.mutation, "_exchange_down", failing)
+    with pytest.raises(CertificationError,
+                       match=r"^at node P1\+P2\+P3, summand P1: mutation of line3 "
+                             r"at slot 0 .*: injected failure$"):
+        enumerate_stt(line3)
+    assert cli_run(["enumerate", "--algebra", corpus_path("line3.alg")]) == 3
+    assert "at node P1+P2+P3, summand P1:" in capsys.readouterr().err
 
 
 def test_same_seed_reruns_are_byte_identical(corpus_algebras):
