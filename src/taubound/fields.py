@@ -10,11 +10,72 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Union
 
 
 class FieldError(ValueError):
     pass
+
+
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson-Webster 2015); from it on, base 2 plus a strong Lucas test is BPSW
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    return x == 1 or any(pow(x, 1 << r, n) == n - 1 for r in range(s))
+
+
+def _jacobi(a: int, n: int) -> int:
+    a, sign = a % n, 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        sign *= -1 if twos % 2 and n % 8 in (3, 5) else 1
+        sign *= -1 if a % 4 == 3 and n % 4 == 3 else 1
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test with Selfridge's parameters, for odd n > 41:
+    D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1-D)/4."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q, half = (1 - D) // 4, (n + 1) // 2
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    hit = U == 0 or V == 0
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        hit = hit or V == 0
+    return hit
+
+
+def is_prime(n: int) -> bool:
+    """Exact below 3317044064679887385961981; from there on Baillie-PSW,
+    which has no known counterexample."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    return (all(_strong_probable_prime(n, a) for a in _MR_BASES)
+            and (n < _MR_EXACT_BELOW or _strong_lucas_probable_prime(n)))
 
 
 @dataclass(frozen=True)
@@ -24,11 +85,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if self.p < 2:
-            raise FieldError(f"field Fp needs a prime, got {self.p}")
-        import sympy
-
-        if not sympy.isprime(self.p):
+        if not is_prime(self.p):
             raise FieldError(f"field Fp needs a prime, got {self.p}")
 
     @property

@@ -241,9 +241,9 @@ def map_from_vector(source: Rep, target: Rep, vec: Sequence) -> ModMap:
     pos = 0
     for v in range(len(source.dims)):
         r, c = target.dims[v], source.dims[v]
-        rows = [[vec[pos + i * c + j] for j in range(c)] for i in range(r)]
+        rows = tuple(tuple(vec[pos + i * c:pos + i * c + c]) for i in range(r))
         pos += r * c
-        blocks.append(Mat(F, r, c, rows))
+        blocks.append(Mat._make(F, r, c, rows))
     return ModMap(source, target, blocks, check=False)
 
 
@@ -323,7 +323,8 @@ def _columns(mat: Mat) -> tuple:
 
 
 def _from_columns(field, nrows: int, cols: Sequence[Sequence]) -> Mat:
-    return Mat(field, nrows, len(cols), [[c[i] for c in cols] for i in range(nrows)])
+    return Mat._make(field, nrows, len(cols),
+                     tuple(tuple(c[i] for c in cols) for i in range(nrows)))
 
 
 def _subrep(M: Rep, bases: Sequence[Sequence[tuple]]) -> tuple[Rep, ModMap]:
@@ -415,21 +416,17 @@ def direct_sum(algebra: BoundQuiverAlgebra, reps: Sequence[Rep]) -> DirectSum:
             for i in range(blk.nrows):
                 for j in range(blk.ncols):
                     m[offsets[k][v] + i][offsets[k][u] + j] = blk.entry(i, j)
-        maps.append(Mat(F, dims[v], dims[u], m))
+        maps.append(Mat._make(F, dims[v], dims[u], tuple(map(tuple, m))))
     total = Rep(algebra, dims, maps, check=False)
     incs, projs = [], []
     for k, r in enumerate(reps):
-        iblocks, pblocks = [], []
-        for v in range(nv):
-            im = [[F.zero] * r.dims[v] for _ in range(dims[v])]
-            pm = [[F.zero] * dims[v] for _ in range(r.dims[v])]
-            for i in range(r.dims[v]):
-                im[offsets[k][v] + i][i] = F.one
-                pm[i][offsets[k][v] + i] = F.one
-            iblocks.append(Mat(F, dims[v], r.dims[v], im))
-            pblocks.append(Mat(F, r.dims[v], dims[v], pm))
-        incs.append(ModMap(r, total, iblocks, check=False))
-        projs.append(ModMap(total, r, pblocks, check=False))
+        rows = [tuple(tuple(F.one if i == offsets[k][v] + j else F.zero
+                            for j in range(r.dims[v])) for i in range(dims[v]))
+                for v in range(nv)]
+        incs.append(ModMap(r, total, [Mat._make(F, dims[v], r.dims[v], rows[v])
+                                      for v in range(nv)], check=False))
+        projs.append(ModMap(total, r, [Mat._make(F, r.dims[v], dims[v], tuple(zip(*rows[v])))
+                                       for v in range(nv)], check=False))
     return DirectSum(total, tuple(incs), tuple(projs))
 
 

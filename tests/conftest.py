@@ -1,3 +1,4 @@
+import importlib.util
 import os
 
 import pytest
@@ -19,6 +20,15 @@ CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
 def corpus_path(name: str) -> str:
     return os.path.join(CORPUS, name)
+
+
+def perfbench_algebras():
+    """The benchmark's algebra texts, read from the source checkout."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "algebras.py")
+    spec = importlib.util.spec_from_file_location("perfbench_algebras", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pytest_terminal_summary(terminalreporter):

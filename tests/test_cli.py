@@ -196,6 +196,29 @@ def test_exit_2_on_zero_denominator(capsys, tmp_path):
     assert "m.mod:3: bad scalar '1/7'" in err
 
 
+def _two_vertex_algebra(tmp_path, p):
+    alg = tmp_path / "big.alg"
+    alg.write_text(f"algebra big\nfield Fp {p}\nvertices 1 2\narrow a: 1 -> 2\n")
+    return str(alg)
+
+
+# a strong pseudoprime to the bases 2, 3, 5 and 7; one to every base up to
+# 37; and the least one to the first 13 prime bases
+@pytest.mark.parametrize("p", [3215031751, 318665857834031151167461,
+                               3317044064679887385961981])
+def test_exit_2_on_a_composite_that_passes_small_base_tests(capsys, tmp_path, p):
+    code, _, err = run(capsys, "validate", "--algebra", _two_vertex_algebra(tmp_path, p))
+    assert code == 2
+    assert f"field Fp needs a prime, got {p}" in err
+
+
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 2 ** 89 - 1])
+def test_a_large_prime_field_is_accepted(capsys, tmp_path, p):
+    code, out, err = run(capsys, "validate", "--algebra", _two_vertex_algebra(tmp_path, p))
+    assert code == 0 and not err
+    assert "dim 3" in out
+
+
 def test_exit_2_on_a_decomposable_listed_summand(capsys, tmp_path):
     # P(1) + P(2) written out as one summand: a valid pair, listed wrongly
     mod = tmp_path / "both.mod"

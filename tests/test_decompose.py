@@ -2,19 +2,27 @@
 and certifying isomorphism.
 """
 
+import hashlib
 import importlib
 import itertools
+import json
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
 from taubound import CertificationError
 from taubound.algebra import Arrow, Quiver, construct_algebra
 from taubound.decompose import _splitting_idempotent, decompose, iso_test
-from taubound.fields import PrimeField
+from taubound.fields import QQ, PrimeField
 from taubound.linalg import Mat, inverse, is_invertible
+from taubound.linalg import rank as mat_rank
 from taubound.parsing import parse_algebra_text
-from taubound.reps import Rep, direct_sum, projective, simple, zero_rep
+from taubound.reps import (ModMap, Rep, direct_sum, injective_rep, projective, simple,
+                           zero_rep)
+from taubound.tau import tau
+from conftest import perfbench_algebras
 
 
 def test_decompose_two_summands(arrow_loop):
@@ -101,6 +109,104 @@ def test_non_split_endomorphism_ring_is_certification_error():
     M = Rep(A, (2, 2), (Mat.identity(F3, 2),
                         Mat.from_rows(F3, [[0, 2], [1, 0]])))
     with pytest.raises(CertificationError, match="non-split"):
+        decompose(M)
+
+
+# ---------------------------------------------------------------------------
+# splitting one endomorphism by its minimal polynomial
+
+_D = importlib.import_module("taubound.decompose")
+
+
+def _companion(field, monic):
+    """The endomorphism of k^n, at a single vertex, by the companion matrix
+    of the monic polynomial ``monic`` (integer or Fraction coefficients,
+    low -> high): its minimal polynomial is exactly that polynomial."""
+    c = [field.of_fraction(x.numerator, x.denominator) if isinstance(x, Fraction)
+         else field.of_int(x) for x in monic[:-1]]
+    n = len(c)
+    A = construct_algebra("point", field, Quiver((1,), ()))
+    M = Rep(A, (n,), ())
+    rows = [[field.one if i == j + 1 else field.zero for j in range(n - 1)]
+            + [field.neg(c[i])] for i in range(n)]
+    return ModMap(M, M, [Mat.from_rows(field, rows)])
+
+
+def _assert_splits(b, rank):
+    e, lam = _D._eigen_split(b)
+    assert lam is None and e is not None
+    assert e.compose(e) == e and e.compose(b) == b.compose(e)
+    assert sum(mat_rank(blk) for blk in e.blocks) == rank
+
+
+def test_eigen_split_a_singular_part_first_over_f2():
+    # t^2 (t + 1): the generalized kernel of b, of dimension 2, splits off
+    _assert_splits(_companion(PrimeField(2), [0, 0, 1, 1]), 2)
+    # t (t + 1)^2 = t^3 + t: here (t + 1)^2 alone would look like case (b)
+    _assert_splits(_companion(PrimeField(2), [0, 1, 0, 1]), 1)
+
+
+@pytest.mark.parametrize("p, monic, lam", [
+    (2, [1, 0, 1], 1),                    # (t + 1)^2, p | m
+    (2, [1, 0, 0, 0, 1], 1),              # (t + 1)^4
+    (2, [1, 0, 1, 0, 1, 0, 1], 1),        # (t + 1)^6 = (t^2 + 1)^3
+    (3, [1, 0, 0, 1], 2),                 # (t - 2)^3 = t^3 + 1 over F_3
+    (3, [1, 0, 0, 1, 0, 0, 1], 1),        # (t - 1)^6 = (t^3 - 1)^2
+    (32003, [25, -10, 1], 5),             # (t - 5)^2
+    (7, [0, 0, 0, 1], 0),                 # t^3
+])
+def test_eigen_split_reads_one_eigenvalue(p, monic, lam):
+    assert _D._eigen_split(_companion(PrimeField(p), monic)) == (None, lam)
+
+
+def test_eigen_split_one_eigenvalue_over_q():
+    assert _D._eigen_split(_companion(QQ, [Fraction(9, 4), -3, 1])) \
+        == (None, Fraction(3, 2))
+
+
+def test_eigen_split_finds_a_root_over_fp():
+    # (t - 3)(t^2 + 1) over F_7, where t^2 + 1 is irreducible
+    _assert_splits(_companion(PrimeField(7), [-3, 1, -3, 1]), 1)
+    # (t - 1)(t - 2)(t - 3)(t^2 + 1) over F_7: three roots to separate
+    _assert_splits(_companion(PrimeField(7), [-6, 11, -12, 12, -6, 1]), 1)
+    # (t - 3)^2 (t^2 + 1) over F_32003
+    _assert_splits(_companion(PrimeField(32003), [9, -6, 10, -6, 1]), 2)
+
+
+def test_eigen_split_finds_a_rational_root():
+    # (t - 3/2)(t^2 + 1)
+    h = Fraction(3, 2)
+    _assert_splits(_companion(QQ, [-h, 1, -h, 1]), 1)
+
+
+@pytest.mark.parametrize("field, monic", [
+    (QQ, [1, 0, 1]),                      # t^2 + 1
+    (PrimeField(3), [1, 0, 1]),           # t^2 + 1, irreducible over F_3
+    (QQ, [2, 0, 3, 0, 1]),                # (t^2 + 1)(t^2 + 2): no root in Q
+])
+def test_eigen_split_without_a_root_in_k_settles_nothing(field, monic):
+    assert _D._eigen_split(_companion(field, monic)) == (None, None)
+
+
+def test_eigen_split_with_a_huge_constant_term_returns_quickly():
+    big = 10 ** 40 + 1
+    t0 = time.perf_counter()
+    # t^2 + t + big has no rational root; (t - 1)(t - big) has the root 1
+    assert _D._eigen_split(_companion(QQ, [big, 1, 1])) == (None, None)
+    _assert_splits(_companion(QQ, [big, -(big + 1), 1]), 1)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_a_corrupted_crt_cofactor_is_a_certification_error(monkeypatch, line2):
+    real = _D._pgcdex
+
+    def corrupted(F, f, g):
+        u, h = real(F, f, g)
+        return _D._psub(F, u, [F.one]), h
+
+    monkeypatch.setattr(_D, "_pgcdex", corrupted)
+    M = direct_sum(line2, [simple(line2, 0), simple(line2, 1)]).rep
+    with pytest.raises(CertificationError, match="decompose: CRT split"):
         decompose(M)
 
 
@@ -229,3 +335,37 @@ def test_iso_certificate_does_not_depend_on_seed(arrow_loop):
     certs = [iso_test(P, P, seed=s).certificate for s in range(4)]
     assert all(all(is_invertible(b) for b in c.blocks) for c in certs)
     assert all(c == certs[0] for c in certs[1:])
+
+
+# ---------------------------------------------------------------------------
+# frozen decomposition shapes
+
+
+# sha256 of the shapes below: a new digest means that some sum now
+# decomposes into different classes or multiplicities
+SHAPES_DIGEST = "c4009c59c1d4d85005f125d4c2bf0712857ed7f1ea82acc9d7fe5c6eb92b90af"
+
+
+def test_decomposition_shapes_are_frozen():
+    # line4, preprojective A3, Nakayama (3,4) and Nakayama (3,3), each over
+    # F_32003 and F_2: X + Y for every two of the nonzero P(v), S(v), I(v)
+    # and tau S(v).  Each sum is recorded as the sorted multiset of (class
+    # dims, multiplicity), so the order of the leaves may change freely.
+    bench = perfbench_algebras()
+    texts = [text for name, text, _ in bench.LADDER_FP + bench.LADDER_Q
+             if name != "line3_q"]
+    shapes = []
+    for field in ("Fp 32003", "Fp 2"):
+        for text in texts:
+            A = parse_algebra_text(text.replace("field Fp 32003", f"field {field}")
+                                   .replace("field Q", f"field {field}"))
+            mods = [m for v in range(A.n_vertices)
+                    for m in (projective(A, v), simple(A, v), injective_rep(A, v),
+                              tau(simple(A, v)))
+                    if m.dim_total]
+            for X, Y in itertools.combinations(mods, 2):
+                dec = decompose(direct_sum(A, [X, Y]).rep)
+                shapes.append(sorted((list(r.dims), m) for r, m
+                                     in zip(dec.class_reps, dec.multiplicities)))
+    assert len(shapes) == 606
+    assert hashlib.sha256(json.dumps(shapes).encode()).hexdigest() == SHAPES_DIGEST

@@ -1,5 +1,6 @@
 """Exact linear algebra over F_p and Q: the layer everything else trusts."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taubound.fields import QQ, PrimeField, default_prime_field
+from taubound.fields import QQ, FieldError, PrimeField, default_prime_field
 from taubound.linalg import (Mat, Span, coordinates, hstack, inverse,
                              is_invertible, nullspace, rank, rref, solve,
                              vstack)
@@ -32,6 +33,22 @@ def test_prime_field_arithmetic():
 def test_prime_field_rejects_composite():
     with pytest.raises(Exception):
         PrimeField(6)
+
+
+def test_prime_field_agrees_with_trial_division_below_1e5():
+    primes = []
+    for n in range(10 ** 5):
+        prime = n >= 2 and all(n % q for q in itertools.takewhile(
+            lambda q: q * q <= n, primes))
+        if prime:
+            primes.append(n)
+        try:
+            PrimeField(n)
+            accepted = True
+        except FieldError:
+            accepted = False
+        assert accepted == prime, n
+    assert len(primes) == 9592
 
 
 def test_field_random_is_seeded():

@@ -6,9 +6,7 @@ indecomposables (those lists are short enough to write down by hand).
 """
 
 import importlib
-import importlib.util
 import itertools
-import os
 import time
 from collections import Counter
 
@@ -28,19 +26,10 @@ from taubound.reps import (Rep, cokernel, direct_sum, dual, hom_basis,
                            injective_rep, projective, simple, zero_map)
 from taubound.reports import export_graph_json
 from taubound.tau import tau, validate_stt_pair
-from conftest import corpus_path
+from conftest import corpus_path, perfbench_algebras
 
 
-def _load_perfbench_algebras():
-    """The benchmark's algebra texts, read from the source checkout."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "algebras.py")
-    spec = importlib.util.spec_from_file_location("perfbench_algebras", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_BENCH = _load_perfbench_algebras()
+_BENCH = perfbench_algebras()
 LADDER = {name: text for name, text, _ in _BENCH.LADDER_FP + _BENCH.LADDER_Q}
 
 
