@@ -279,14 +279,6 @@ class Decomposition:
     class_reps: tuple[Rep, ...]
     multiplicities: tuple[int, ...]
 
-    @property
-    def summand_count(self) -> int:
-        return len(self.leaves)
-
-    @property
-    def is_basic(self) -> bool:
-        return all(m == 1 for m in self.multiplicities)
-
 
 def _split_rec(rep: Rep, embed: ModMap, retract: ModMap,
                rng: random.Random, out: list[Leaf]):
@@ -322,17 +314,25 @@ def decompose(M: Rep, seed: int = 0) -> Decomposition:
     if leaves:
         _certify(total == identity_map(M), "leaf witnesses do not sum to the identity")
 
+    class_reps, counts = _iso_classes([leaf.rep for leaf in leaves])
+    return Decomposition(M, tuple(leaves), tuple(class_reps), tuple(counts))
+
+
+def _iso_classes(indecs: Sequence[Rep]) -> tuple[list[Rep], list[int]]:
+    """Class representatives, in order of first appearance, and
+    multiplicities of a list of certified indecomposables, matched by
+    ``_indec_iso``."""
     class_reps: list[Rep] = []
     counts: list[int] = []
-    for leaf in leaves:
+    for rep in indecs:
         for ci, rep0 in enumerate(class_reps):
-            if _indec_iso(leaf.rep, rep0) is not None:
+            if _indec_iso(rep, rep0) is not None:
                 counts[ci] += 1
                 break
         else:
-            class_reps.append(leaf.rep)
+            class_reps.append(rep)
             counts.append(1)
-    return Decomposition(M, tuple(leaves), tuple(class_reps), tuple(counts))
+    return class_reps, counts
 
 
 # ---------------------------------------------------------------------------

@@ -125,9 +125,6 @@ class PrimeField:
             raise FieldError("division by zero in Fp")
         return pow(a, -1, self.p)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a: int) -> bool:
         return a % self.p == 0
 
@@ -183,14 +180,6 @@ class RationalField:
         if a == 0:
             raise FieldError("division by zero in Q")
         return 1 / a
-
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
-        return a / self._nonzero(b)
-
-    def _nonzero(self, b: Fraction) -> Fraction:
-        if b == 0:
-            raise FieldError("division by zero in Q")
-        return b
 
     def is_zero(self, a: Fraction) -> bool:
         return a == 0

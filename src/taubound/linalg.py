@@ -174,17 +174,6 @@ def hstack(field: Field, mats: Sequence[Mat], nrows: int) -> Mat:
     return Mat(field, nrows, ncols, rows)
 
 
-def vstack(field: Field, mats: Sequence[Mat], ncols: int) -> Mat:
-    blocks = [m for m in mats]
-    for m in blocks:
-        if m.ncols != ncols:
-            raise ValueError("vstack column count mismatch")
-    rows = []
-    for m in blocks:
-        rows.extend(m.rows)
-    return Mat(field, len(rows), ncols, rows)
-
-
 def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
     f = mat.field
@@ -249,27 +238,13 @@ def nullspace(mat: Mat) -> list[tuple]:
     return basis
 
 
-def solve(mat: Mat, rhs: Sequence) -> Optional[tuple]:
-    """One solution of mat * x = rhs (free variables set to zero), or None."""
-    f = mat.field
-    if len(rhs) != mat.nrows:
-        raise ValueError("rhs length mismatch")
-    aug = Mat(f, mat.nrows, mat.ncols + 1, [list(r) + [b] for r, b in zip(mat.rows, rhs)])
-    reduced, pivots = rref(aug)
-    if mat.ncols in pivots:
-        return None
-    x = [f.zero] * mat.ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = reduced.rows[i][mat.ncols]
-    return tuple(x)
-
-
 def coordinates(field: Field, basis: Sequence[Sequence],
                 targets: Sequence[Sequence]) -> list[tuple]:
     """Coordinates of every target against the vectors in ``basis``.
 
-    One row reduction of [basis | targets]; free variables are set to zero
-    as in solve.  Raises ValueError when a target lies outside the span.
+    One row reduction of [basis | targets]; the coordinates of dependent
+    basis vectors are set to zero.  Raises ValueError when a target lies
+    outside the span.
     """
     if not targets:
         return []

@@ -323,6 +323,8 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
                   registry: Optional[IsoRegistry] = None) -> ExchangeGraph:
     """Breadth-first enumeration of all support pairs by down mutation from
     the free pair (all projectives, empty support)."""
+    if max_nodes < 1:
+        raise InputError(f"--max-nodes must be at least 1, got {max_nodes}")
     if algebra.is_zero_algebra:
         raise InputError("cannot enumerate pairs over the zero algebra")
     if registry is None:

@@ -612,21 +612,3 @@ def restrict_to_quotient(M: Rep, quotient: BoundQuiverAlgebra) -> Rep:
     for arr in quotient.quiver.arrows:
         maps.append(M.maps[A.quiver.arrow_index(arr.label)])
     return Rep(quotient, dims, maps, check=True)
-
-
-def lift_from_quotient(M: Rep, algebra: BoundQuiverAlgebra) -> Rep:
-    """Inflate a module over a quotient of ``algebra`` back to ``algebra``
-    (zero action on everything the quotient killed)."""
-    sub = M.algebra
-    F = algebra.field
-    sub_verts = set(sub.quiver.vertices)
-    dims = tuple(M.dims[sub.quiver.vertex_index(lab)] if lab in sub_verts else 0
-                 for lab in algebra.quiver.vertices)
-    sub_arrows = {a.label for a in sub.quiver.arrows}
-    maps = []
-    for arr in algebra.quiver.arrows:
-        if arr.label in sub_arrows:
-            maps.append(M.maps[sub.quiver.arrow_index(arr.label)])
-        else:
-            maps.append(Mat.zeros(F, dims[arr.target], dims[arr.source]))
-    return Rep(algebra, dims, maps, check=True)

@@ -238,6 +238,16 @@ def test_exit_3_on_budget(capsys):
     assert "enumeration budget exceeded" in err
 
 
+@pytest.mark.parametrize("command,budget", [("enumerate", "-3"), ("enumerate", "0"),
+                                            ("report", "-1")])
+def test_exit_2_on_a_non_positive_budget(capsys, command, budget):
+    code, out, err = run(capsys, command, "--algebra", corpus_path("line3.alg"),
+                         "--max-nodes", budget)
+    assert code == 2 and not out
+    assert err.startswith(f"error: {command}:")
+    assert f"--max-nodes must be at least 1, got {budget}" in err
+
+
 def test_usage_error_exits_nonzero(capsys):
     code, _, _ = run(capsys, "tau", "--algebra", ALG)   # missing --module
     assert code == 2

@@ -635,6 +635,21 @@ def test_budget_exceeded(line3):
         enumerate_stt(line3, max_nodes=3)
 
 
+@pytest.mark.parametrize("max_nodes", [0, -3])
+def test_non_positive_budget_is_bad_input(line3, max_nodes, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(taubound.mutation, "IsoRegistry", no_work)
+    with pytest.raises(InputError, match=f"--max-nodes must be at least 1, got {max_nodes}"):
+        enumerate_stt(line3, max_nodes=max_nodes)
+
+
+def test_a_budget_of_one_node_holds_only_the_root(line3):
+    with pytest.raises(CertificationError, match="more than 1 nodes"):
+        enumerate_stt(line3, max_nodes=1)
+
+
 def test_a_failed_exchange_names_the_node_and_summand(line3, monkeypatch, capsys):
     def failing(pair, X, rest, seed):
         raise CertificationError("injected failure")

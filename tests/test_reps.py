@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from taubound import InputError
-from taubound.algebra import delete_vertices, radical, factor_algebra
+from taubound.algebra import radical, factor_algebra
 from taubound.reps import (acts_nilpotently, annihilator, cokernel, direct_sum,
                            ext1_dim, global_dimension, hom_basis, hom_dim,
                            identity_map, injective_rep,
-                           is_faithful, kernel, lift_from_quotient,
+                           is_faithful, kernel,
                            minimal_presentation, projective,
                            projective_cover, projective_dimension,
                            restrict_to_quotient, simple, zero_map, zero_rep)
@@ -217,17 +217,6 @@ def test_simple_annihilator_is_large(arrow_loop):
     A = arrow_loop
     ann = annihilator(simple(A, 0))
     assert ann.dim == A.dim - 1      # everything except e_1 acts as zero
-
-
-def test_restrict_lift_round_trip(arrow_loop):
-    A = arrow_loop
-    C = delete_vertices(A, [1])      # K[beta]/(beta^2) on the loop vertex
-    M = simple(A, 1)
-    MC = restrict_to_quotient(M, C)
-    assert MC.dims == (1,)
-    back = lift_from_quotient(MC, A)
-    assert back.dims == M.dims
-    assert all(a == b for a, b in zip(back.maps, M.maps))
 
 
 def test_restrict_to_semisimple_quotient(arrow_loop):

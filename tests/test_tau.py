@@ -12,12 +12,14 @@ import pytest
 
 from taubound import InputError, QQ, parse_algebra_text, parse_module_file
 from taubound.algebra import delete_vertices
+from taubound.decompose import decompose
 from taubound.linalg import Mat, inverse
 from taubound.mutation import enumerate_stt
-from taubound.reps import (Rep, direct_sum, hom_dim, projective,
-                           restrict_to_quotient, simple, zero_rep)
+from taubound.reps import (Rep, direct_sum, hom_dim, injective_rep, is_faithful,
+                           projective, restrict_to_quotient, simple, zero_rep)
 from taubound.tau import (SttPair, classify_pair, hom_to_tau, is_tau_rigid,
                           tau, tau_data, validate_stt_pair)
+from conftest import perfbench_algebras
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +159,105 @@ def test_validate_root_pair(arrow_loop):
     assert res.summand_classes == 2 == res.expected_classes
 
 
-def test_tau_rigidity_over_the_support_algebra_lifts_to_a(corpus_algebras):
+@pytest.fixture(scope="module")
+def node_graphs(corpus_algebras):
+    """The exchange graphs of the corpus and perfbench ladder algebras."""
+    bench = perfbench_algebras()
+    algebras = list(corpus_algebras.values()) + [
+        parse_algebra_text(text) for _, text, _ in bench.LADDER_FP + bench.LADDER_Q]
+    return [enumerate_stt(A) for A in algebras]
+
+
+@pytest.fixture(scope="module")
+def perturbed_pairs(node_graphs):
+    """(algebra, summands, support) near every node: the node itself, the
+    node minus one summand, plus a repeated summand, and plus one extra
+    simple, projective or injective, each with the node's support and with
+    the largest support the module allows.  The slot and the vertex rotate
+    with the node index."""
+    pairs = []
+    for graph in node_graphs:
+        A, n = graph.algebra, graph.algebra.n_vertices
+        for i, node in enumerate(graph.nodes):
+            base, v = list(node.pair.summands), i % n
+            candidates = [base]
+            if base:
+                k = i % len(base)
+                candidates += [base[:k] + base[k + 1:], base + [base[k]]]
+            candidates += [base + [m] for m in (simple(A, v), projective(A, v),
+                                                injective_rep(A, v))]
+            for summands in candidates:
+                largest = tuple(w for w in range(n) if all(s.dims[w] == 0 for s in summands))
+                for support in dict.fromkeys((node.pair.support, largest)):
+                    pairs.append((A, summands, support))
+    return pairs
+
+
+def _over_the_support_algebra(A, summands, support):
+    """The validation as it was before it moved to A: restrict the direct
+    sum to A/<e>, then decompose it.  Returns (status, summand classes)."""
+    expected = A.n_vertices - len(support)
+    M = direct_sum(A, summands).rep if summands else zero_rep(A)
+    if any(M.dims[v] for v in support):
+        return "invalid", 0
+    if expected == 0:
+        return "valid-stt", 0
+    B = delete_vertices(A, [A.quiver.vertices[v] for v in support])
+    MB = restrict_to_quotient(M, B)
+    if MB.dim_total and hom_to_tau(MB):
+        return "invalid", 0
+    if M.dim_total == 0:
+        return "tau-rigid-only", 0
+    dec = decompose(MB)
+    classes = len(dec.class_reps)
+    if max(dec.multiplicities) > 1 or classes < expected:
+        return "tau-rigid-only", classes
+    return "valid-stt", classes
+
+
+def test_validation_over_a_agrees_with_the_support_algebra(perturbed_pairs):
+    statuses = []
+    for A, summands, support in perturbed_pairs:
+        val = validate_stt_pair(A, summands, support)
+        reference = _over_the_support_algebra(A, summands, support)
+        assert (val.status, val.summand_classes) == reference, \
+            (A.name, [s.dims for s in summands], support)
+        statuses.append(val.status)
+    assert len(statuses) > 1000
+    assert statuses.count("valid-stt") > 250
+    assert statuses.count("tau-rigid-only") > 400
+    assert statuses.count("invalid") > 350
+
+
+def test_tau_rigidity_over_the_support_algebra_lifts_to_a(perturbed_pairs):
     # AIR Lemma 2.1(b): for a module vanishing at the vertices e, tau-rigidity
-    # over A/<e> and over A agree; mutate_down tests it over A
-    checked = 0
-    for A in corpus_algebras.values():
-        for node in enumerate_stt(A).nodes:
-            M = node.pair.module()
-            if not node.pair.support or M.dim_total == 0:
-                continue
-            B = delete_vertices(A, [A.quiver.vertices[v] for v in node.pair.support])
-            assert hom_to_tau(restrict_to_quotient(M, B)) == 0, (A.name, node.key)
-            assert hom_to_tau(M) == 0, (A.name, node.key)
-            checked += 1
-    assert checked >= 10
+    # over A/<e> and over A agree; validation and mutate_down test it over A
+    rigid = non_rigid = 0
+    for A, summands, support in perturbed_pairs:
+        M = direct_sum(A, summands).rep if summands else zero_rep(A)
+        if not support or M.dim_total == 0 or any(M.dims[v] for v in support):
+            continue
+        B = delete_vertices(A, [A.quiver.vertices[v] for v in support])
+        over_a = hom_to_tau(M) == 0
+        assert over_a == (hom_to_tau(restrict_to_quotient(M, B)) == 0), \
+            (A.name, M.dims, support)
+        rigid, non_rigid = rigid + over_a, non_rigid + (not over_a)
+    assert rigid >= 300 and non_rigid >= 50
+
+
+def test_tilting_exactly_when_faithful(node_graphs):
+    # the classification reads pd <= 1 off each summand's presentation; a
+    # tau-tilting module is tilting exactly when it is faithful (AIR Prop. 2.2)
+    line5 = parse_algebra_text(perfbench_algebras().line_text("line5", 5, "Fp 32003"))
+    sincere = []
+    for graph in node_graphs + [enumerate_stt(line5)]:
+        for node in graph.nodes:
+            if node.classification in ("tilting", "tau-tilting-not-tilting"):
+                assert (node.classification == "tilting") == \
+                    is_faithful(node.pair.module()), (graph.algebra.name, node.key)
+                sincere.append(node.classification)
+    assert sincere.count("tilting") >= 70
+    assert sincere.count("tau-tilting-not-tilting") >= 30
 
 
 def test_validate_rigid_but_not_complete(arrow_loop):
