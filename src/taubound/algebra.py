@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exceptions import InputError
+from .exceptions import CertificationError, InputError
 from .fields import Field
 from .linalg import (Mat, Span, complement_positions, coordinates, nullspace,
                      unit_vector)
@@ -411,7 +411,10 @@ def construct_algebra(name: str, field: Field, quiver: Quiver,
         for c, p in rel:
             for k, ck in enumerate(nf_coords(p)):
                 acc[k] = field.add(acc[k], field.mul(c, ck))
-        assert all(field.is_zero(x) for x in acc), "relation does not vanish in quotient"
+        if not all(field.is_zero(x) for x in acc):
+            raise CertificationError(f"algebra {name!r}: relation "
+                                     f"{alg.relation_str(rel)} does not vanish "
+                                     f"in the quotient")
     return alg
 
 
@@ -658,18 +661,12 @@ def _survivor_presentation(algebra, ideal, name):
 
 
 def factor_algebra(algebra: BoundQuiverAlgebra, ideal: Ideal) -> BoundQuiverAlgebra:
-    """Quotient by a two-sided ideal contained in the radical."""
+    """Quotient by a proper two-sided ideal.  The ideal holds e_v exactly
+    for the vertices v that the quotient drops."""
     if ideal.algebra is not algebra:
         raise InputError("factor_algebra: ideal belongs to a different algebra")
     if ideal.dim == algebra.dim:
         raise InputError("factor_algebra: ideal is the whole algebra")
-    rad = radical(algebra)
-    for v in ideal.basis_vectors():
-        if not rad.contains(v):
-            raise InputError(
-                "factor_algebra: support quotient requires vertex deletion; "
-                "use delete_vertices"
-            )
     if ideal.dim == 0:
         return algebra
     return _survivor_presentation(algebra, ideal, f"{algebra.name}/I")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (BoundQuiverAlgebra, Quiver, StructureAlgebra,
-                      loewy_length, present_structure_as_bound_quiver, radical)
+                      loewy_length, present_structure_as_bound_quiver)
 from .decompose import _local_or_split, iso_test
 from .exceptions import CertificationError, InputError
 from .linalg import Span, coordinates, unit_vector
@@ -241,7 +241,7 @@ def derdim_estimate(B: BoundQuiverAlgebra,
     entry = (registry or {}).get(B.name)
     if entry is not None and entry[0] == "exact":
         return DerdimEstimate(entry[1], "exact", "registry")
-    if radical(B).dim == 0:
+    if B.dim == B.n_vertices:
         return DerdimEstimate(0, "exact", "rule:semisimple")
     if dynkin_type(B.quiver) is not None and is_hereditary(B):
         return DerdimEstimate(0, "exact", "rule:hereditary-dynkin")

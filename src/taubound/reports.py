@@ -24,9 +24,9 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import (BoundQuiverAlgebra, delete_vertices, factor_algebra,
-                      loewy_length)
-from .endo import (DerdimEstimate, DerdimRegistry, derdim_estimate,
+from .algebra import (BoundQuiverAlgebra, Quiver, construct_algebra,
+                      factor_algebra, loewy_length)
+from .endo import (DerdimEstimate, DerdimRegistry, EndoAlgebra, derdim_estimate,
                    endo_algebra, merge_estimates, quiver_presentation)
 from .exceptions import InputError
 from .mutation import (ExchangeGraph, GraphNode, IsoRegistry, _sorted_pair,
@@ -45,32 +45,15 @@ def canonical_json(payload) -> str:
 
 
 def quotient_by_annihilator(algebra: BoundQuiverAlgebra, M: Rep):
-    """(C, ann, M as a C-module) where C = A / ann(M).  Vertices where M
-    vanishes are deleted first so that the remaining ideal sits inside the
-    radical."""
+    """(C, ann, M as a C-module) where C = A / ann(M), built in one quotient
+    step: the idempotent of each vertex where M vanishes lies in ann(M), so
+    the quotient drops that vertex.  M = 0 gives the zero algebra."""
     ann = annihilator(M)
-    dead = [algebra.quiver.vertices[v] for v in range(algebra.n_vertices)
-            if M.dims[v] == 0]
-    if dead:
-        A1 = delete_vertices(algebra, dead)
-        M1 = restrict_to_quotient(M, A1)
-        ann1 = annihilator(M1)
+    if ann.dim == algebra.dim:
+        C = construct_algebra(f"{algebra.name}/I", algebra.field, Quiver((), ()))
     else:
-        A1, M1, ann1 = algebra, M, ann
-    if A1.is_zero_algebra:
-        # M = 0: its annihilator quotient is the zero algebra itself
-        return A1, ann, M1
-    C = factor_algebra(A1, ann1)
-    MC = restrict_to_quotient(M1, C) if C is not A1 else M1
-    return C, ann, MC
-
-
-def _presentation_signature(B: BoundQuiverAlgebra):
-    """Invariants identifying a quiver presentation up to relabeling with a
-    fixed vertex order: arrow multiplicities and relation counts by degree."""
-    arrows = sorted((a.source, a.target) for a in B.quiver.arrows)
-    rel_degrees = sorted(len(rel[0][1].arrows) for rel in B.relations)
-    return (B.n_vertices, tuple(arrows), tuple(rel_degrees), B.dim)
+        C = factor_algebra(algebra, ann)
+    return C, ann, (M if C is algebra else restrict_to_quotient(M, C))
 
 
 @dataclass
@@ -89,24 +72,9 @@ class TiltingProxyReport:
     n_simples: int
     endo_dim_ambient: int
     endo_dim_quotient: int
-    presentations_match: Optional[bool]   # None when M = 0 (nothing to present)
+    presentations_match: Optional[bool]   # None when M = 0 (nothing to compare)
     ok: bool
     notes: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "quotient": self.quotient_name,
-            "quotient_dim": self.quotient_dim,
-            "pd": self.pd,
-            "ext1": self.ext1,
-            "classes": self.classes,
-            "n_simples": self.n_simples,
-            "endo_dim_ambient": self.endo_dim_ambient,
-            "endo_dim_quotient": self.endo_dim_quotient,
-            "presentations_match": self.presentations_match,
-            "ok": self.ok,
-            "notes": list(self.notes),
-        }
 
 
 def tilting_proxy_check(algebra: BoundQuiverAlgebra,
@@ -118,15 +86,17 @@ def tilting_proxy_check(algebra: BoundQuiverAlgebra,
     for C-modules, their number is the summand count over C."""
     M = direct_sum(algebra, list(summands)).rep
     C, _, MC = quotient_by_annihilator(algebra, M)
-    B = quiver_presentation(endo_algebra(list(summands)), name="End/ambient") \
-        if summands else None
-    return _tilting_proxy(summands, C, MC, B)
+    endo = endo_algebra(list(summands)) if summands else None
+    return _tilting_proxy(summands, C, MC, endo)
 
 
 def _tilting_proxy(summands: Sequence[Rep], C: BoundQuiverAlgebra, MC: Rep,
-                   B: Optional[BoundQuiverAlgebra]) -> TiltingProxyReport:
-    """tilting_proxy_check given C, M as a C-module and the presentation B
-    of End(M) over the ambient algebra (None when M = 0)."""
+                   endo: Optional[EndoAlgebra]) -> TiltingProxyReport:
+    """tilting_proxy_check given C, M as a C-module and End(M) over the
+    ambient algebra (None when M = 0).  End over C is computed afresh; as
+    Hom_C = Hom_A inside the same coordinate space and ``hom_basis`` reads
+    its basis off that space, the two agree exactly when their structure
+    tables and idempotents do, which makes their presentations identical."""
     notes: list[str] = []
     ok = True
     pd = projective_dimension(MC)
@@ -144,11 +114,11 @@ def _tilting_proxy(summands: Sequence[Rep], C: BoundQuiverAlgebra, MC: Rep,
                      f"{C.n_vertices} vertices")
 
     match, dim_a, dim_c = None, 0, 0
-    if B is not None:
+    if endo is not None:
         endo_c = endo_algebra([restrict_to_quotient(s, C) for s in summands])
-        dim_a, dim_c = B.dim, endo_c.dim
-        match = dim_a == dim_c and _presentation_signature(B) == \
-            _presentation_signature(quiver_presentation(endo_c, name="End/quotient"))
+        dim_a, dim_c = endo.dim, endo_c.dim
+        match = (endo_c.sa.table == endo.sa.table
+                 and endo_c.sa.idempotents == endo.sa.idempotents)
         if not match:
             ok = False
             notes.append("endomorphism algebra changed under the quotient "
@@ -259,7 +229,7 @@ def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
 
     # M is tilting over C = A/ann(M); a certified re-check lets estimates
     # transfer along the derived equivalence C ~ B
-    proxy = _tilting_proxy(summands, C, MC, B)
+    proxy = _tilting_proxy(summands, C, MC, endo)
     if proxy.ok:
         # a faithful M has C = A, whose estimate is already at hand
         est_c = lhs if C is algebra else derdim_estimate(C, registry)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import BoundQuiverAlgebra, Ideal, Path
-from .exceptions import InputError
+from .exceptions import CertificationError, InputError
 from .linalg import (Mat, Span, complement_positions, coordinates, nullspace,
                      rank, unit_vector)
 
@@ -173,14 +173,18 @@ class ModMap:
         self.target = target
         self.blocks = tuple(blocks)
         if check:
-            for v, b in enumerate(self.blocks):
-                assert (b.nrows, b.ncols) == (target.dims[v], source.dims[v]), \
-                    "hom block shape mismatch"
             A = source.algebra
+            for v, b in enumerate(self.blocks):
+                if (b.nrows, b.ncols) != (target.dims[v], source.dims[v]):
+                    raise CertificationError(f"module map: block at vertex "
+                                             f"{A.quiver.vertices[v]} has the "
+                                             f"wrong shape")
             for ai, arr in enumerate(A.quiver.arrows):
                 lhs = self.blocks[arr.target].mul(source.maps[ai])
                 rhs = target.maps[ai].mul(self.blocks[arr.source])
-                assert lhs == rhs, "map does not commute with the arrow action"
+                if lhs != rhs:
+                    raise CertificationError(f"module map: does not commute "
+                                             f"with arrow {arr.label}")
 
     def compose(self, other: "ModMap") -> "ModMap":
         """self o other (apply ``other`` first)."""
@@ -468,7 +472,9 @@ def projective_cover(M: Rep) -> Cover:
                           [[c[i] for c in cols] for i in range(M.dims[w])]))
     epi = ModMap(ds.rep, M, blocks, check=True)
     for v in range(A.n_vertices):
-        assert rank(epi.blocks[v]) == M.dims[v], "cover is not surjective"
+        if rank(epi.blocks[v]) != M.dims[v]:
+            raise CertificationError(f"projective cover: not surjective at "
+                                     f"vertex {A.quiver.vertices[v]}")
     return Cover(verts, ds.rep, epi)
 
 
@@ -602,8 +608,7 @@ def is_faithful(M: Rep) -> bool:
 
 def restrict_to_quotient(M: Rep, quotient: BoundQuiverAlgebra) -> Rep:
     """View an A-module annihilated by the defining ideal as a module over a
-    vertex-deletion or radical quotient of A (vertices and arrows matched by
-    label)."""
+    quotient of A (vertices and arrows matched by label)."""
     A = M.algebra
     dims = []
     for lab in quotient.quiver.vertices:

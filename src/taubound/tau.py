@@ -78,23 +78,17 @@ def nakayama_presentation(pres: Presentation):
 
 @dataclass(frozen=True)
 class TauData:
-    """What ``tau_data`` computes for one module; every caller shares it."""
-    module: Rep
+    """What ``tau_data`` keeps for one module; every caller shares it."""
     presentation: Presentation
-    nu_p1: Rep
-    nu_p0: Rep
-    nu_d1: ModMap
     tau: Rep
-    inclusion: ModMap  # tau -> nu P1
 
 
 def tau_data(M: Rep) -> TauData:
     """The presentation and translate of M, computed once per module."""
     if M._tau_data is None:
         pres = minimal_presentation(M)
-        nu_p1, nu_p0, nu_d1 = nakayama_presentation(pres)
-        t, incl = kernel(nu_d1)
-        M._tau_data = TauData(M, pres, nu_p1, nu_p0, nu_d1, t, incl)
+        _, _, nu_d1 = nakayama_presentation(pres)
+        M._tau_data = TauData(pres, kernel(nu_d1)[0])
     return M._tau_data
 
 

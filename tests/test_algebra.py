@@ -137,11 +137,12 @@ def test_factor_by_radical_is_semisimple(arrow_loop):
     assert B.dim == 2 and not B.quiver.arrows
 
 
-def test_factor_rejects_idempotents(arrow_loop):
+def test_factor_by_an_idempotent_deletes_its_vertex(arrow_loop):
     A = arrow_loop
-    ideal = Ideal.from_generators(A, [A.idempotent(1)])
-    with pytest.raises(InputError, match="use delete_vertices"):
-        factor_algebra(A, ideal)
+    B = factor_algebra(A, Ideal.from_generators(A, [A.idempotent(1)]))
+    D = delete_vertices(A, [2])
+    assert B.dim == D.dim == 1
+    assert B.quiver == D.quiver and B.relations == D.relations
 
 
 def test_delete_vertices(arrow_loop):

@@ -6,17 +6,20 @@ import json
 
 import pytest
 
+import taubound.algebra
 import taubound.reports
+from conftest import perfbench_algebras
 from taubound import InputError, parse_algebra_text
 from taubound.algebra import loewy_length
 from taubound.decompose import decompose
-from taubound.endo import derdim_estimate
+from taubound.endo import derdim_estimate, endo_algebra
 from taubound.mutation import enumerate_stt
 from taubound.reports import (canonical_json, derdim_bound_report,
                               export_graph_dot, export_graph_json,
                               graph_reports, quotient_by_annihilator,
                               tilting_proxy_check)
-from taubound.reps import direct_sum, projective, simple, zero_rep
+from taubound.reps import (direct_sum, projective, restrict_to_quotient, simple,
+                           zero_rep)
 from taubound.tau import classify_pair
 
 
@@ -56,6 +59,19 @@ def test_quotient_with_proper_support(arrow_loop):
     C, ann, MC = quotient_by_annihilator(A, simple(A, 0))
     assert C.n_vertices == 1 and C.dim == 1
     assert MC.dims == (1,)
+
+
+def test_quotient_is_one_step_for_a_non_sincere_module(arrow_loop, monkeypatch):
+    A = arrow_loop
+    ann_calls = _count_calls(monkeypatch, "annihilator")
+    deletions = _count_calls(monkeypatch, "delete_vertices", taubound.algebra)
+    # also count a call through a name imported into reports
+    monkeypatch.setattr(taubound.reports, "delete_vertices",
+                        taubound.algebra.delete_vertices, raising=False)
+    C, ann, MC = quotient_by_annihilator(A, projective(A, 1))
+    assert (len(ann_calls), len(deletions)) == (1, 0)
+    assert C.name == "arrow_loop/I" and ann.dim == 2
+    assert C.quiver.vertices == (2,) and C.dim == 2 and MC.dims == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +119,42 @@ def test_proxy_passes_on_every_corpus_node(corpus_algebras):
             assert rep.ok, (A.name, node.key, rep.notes)
             _, _, MC = quotient_by_annihilator(A, node.pair.module())
             assert rep.classes == len(decompose(MC).class_reps)
+
+
+def test_end_over_the_quotient_is_end_over_the_algebra(corpus_algebras):
+    # Hom_C = Hom_A inside one coordinate space, so End(M) over C = A/ann M
+    # has the very table and idempotents of End(M) over A, on every node
+    bench = perfbench_algebras()
+    algebras = list(corpus_algebras.values()) + [
+        parse_algebra_text(text) for _, text, _ in bench.LADDER_FP + bench.LADDER_Q]
+    for A in algebras:
+        for node in enumerate_stt(A).nodes:
+            summands = list(node.pair.summands)
+            if not summands:
+                continue
+            C, _, _ = quotient_by_annihilator(A, node.pair.module())
+            over_a = endo_algebra(summands)
+            over_c = endo_algebra([restrict_to_quotient(s, C) for s in summands])
+            assert over_c.sa.table == over_a.sa.table, (A.name, node.key)
+            assert over_c.sa.idempotents == over_a.sa.idempotents, (A.name, node.key)
+
+
+def test_changed_end_over_the_quotient_fails_the_recheck(arrow_loop, monkeypatch):
+    A = arrow_loop
+    original = taubound.reports.endo_algebra
+
+    def reordered_over_quotient(summands, labels=None):
+        # End over C with its summands in the opposite order: the same
+        # algebra up to isomorphism, but not the same structure table
+        if summands[0].algebra is not A:
+            summands = summands[::-1]
+        return original(summands, labels)
+
+    monkeypatch.setattr(taubound.reports, "endo_algebra", reordered_over_quotient)
+    rep = tilting_proxy_check(A, [projective(A, 0), simple(A, 0)])
+    assert rep.presentations_match is False and not rep.ok
+    assert rep.endo_dim_ambient == rep.endo_dim_quotient == 3
+    assert "endomorphism algebra changed under the quotient transport" in rep.notes
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +274,15 @@ def test_graph_reports_agree_with_single_pair_reports(corpus_algebras,
                 A, summands, node.pair.support), node.key
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=taubound.reports):
     calls = []
-    original = getattr(taubound.reports, name)
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(taubound.reports, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -244,9 +296,9 @@ def test_graph_reports_build_each_node_fact_once(corpus_algebras, monkeypatch):
         graph, _ = graph_reports(A)
         sincere = sum(n.classification in ("tilting", "tau-tilting-not-tilting")
                       for n in graph.nodes)
-        # End(M) once over A and once over C, each presented once
+        # End(M) once over A and once over C, presented once
         assert len(calls["endo_algebra"]) == 2 * sincere, A.name
-        assert len(calls["quiver_presentation"]) == 2 * sincere, A.name
+        assert len(calls["quiver_presentation"]) == sincere, A.name
         assert len(calls["annihilator"]) == graph.n_nodes, A.name
         assert sum(args[0] is A for args in calls["derdim_estimate"]) == 1, A.name
 

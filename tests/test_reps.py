@@ -7,10 +7,14 @@ P(1) ~ (1,1) and P(2) ~ (0,2)).
 """
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import corpus_path
 from taubound import InputError
 from taubound.algebra import radical, factor_algebra
 from taubound.reps import (acts_nilpotently, annihilator, cokernel, direct_sum,
@@ -108,6 +112,38 @@ def test_hom_basis_maps_commute(arrow_loop):
             left = P2.maps[ai].mul(f.blocks[arr.source])
             right = f.blocks[arr.target].mul(P2.maps[ai])
             assert left == right
+
+
+# the child builds S(1) -> P(1) over 1 -> 2 from blocks that do not commute
+# with the arrow, then blocks of the wrong shape, and prints each refusal
+CHECK_CHILD = r"""
+import sys
+from taubound import CertificationError, parse_algebra_file
+from taubound.linalg import Mat
+from taubound.reps import ModMap, projective, simple
+assert not __debug__
+A = parse_algebra_file(sys.argv[1])
+S, P = simple(A, 0), projective(A, 0)
+for blocks in ([Mat.identity(A.field, 1), Mat.zeros(A.field, 1, 0)],
+               [Mat.identity(A.field, 1), Mat.zeros(A.field, 0, 0)]):
+    try:
+        ModMap(S, P, blocks, check=True)
+    except CertificationError as err:
+        print("refused:", err)
+"""
+
+
+def test_checked_map_certificate_survives_optimisation():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", CHECK_CHILD,
+                           corpus_path("line2.alg")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "refused: module map: does not commute with arrow a",
+        "refused: module map: block at vertex 2 has the wrong shape"]
 
 
 # ---------------------------------------------------------------------------
