@@ -158,19 +158,29 @@ class StructureAlgebra:
 
     Elements are coefficient tuples; ``table[i][j]`` is the coefficient tuple
     of the product of basis elements i and j.  The unit is the sum of the
-    idempotents.
+    idempotents.  ``block_of[i]`` is the block (u, v) of basis element i,
+    that is b_i = e_u b_i e_v; the tags are certified on construction.
     """
 
-    def __init__(self, field, table, idempotents, vertex_labels):
+    def __init__(self, field, table, idempotents, vertex_labels, block_of):
         self.field = field
         self.dim = len(table)
         self.table = table
         self.idempotents = tuple(tuple(e) for e in idempotents)
         self.vertex_labels = tuple(vertex_labels)
+        self.block_of = tuple(block_of)
         one = self.zero_vec()
         for e in self.idempotents:
             one = self.add(one, e)
         self._unit = one
+        if len(self.block_of) != self.dim:
+            raise CertificationError("block tags: one tag per basis element needed")
+        self._blocks: dict[tuple[int, int], list[int]] = {}
+        for i, (u, v) in enumerate(self.block_of):
+            b = self.unit_vec(i)
+            if self.mul(self.mul(self.idempotents[u], b), self.idempotents[v]) != b:
+                raise CertificationError(f"block tags: basis element {i} is not in ({u}, {v})")
+            self._blocks.setdefault((u, v), []).append(i)
 
     @property
     def n_vertices(self) -> int:
@@ -192,6 +202,10 @@ class StructureAlgebra:
     def idempotent(self, v: int) -> tuple:
         return self.idempotents[v]
 
+    def block(self, u: int, v: int) -> list[int]:
+        """The basis positions in e_u A e_v, in basis order."""
+        return self._blocks.get((u, v), [])
+
     def mul(self, u: Sequence, v: Sequence) -> tuple:
         F = self.field
         acc = [F.zero] * self.dim
@@ -211,10 +225,6 @@ class StructureAlgebra:
         F = self.field
         return tuple(F.add(x, y) for x, y in zip(u, v))
 
-    def scale(self, c, u: Sequence) -> tuple:
-        F = self.field
-        return tuple(F.mul(c, x) for x in u)
-
     def is_zero_vec(self, u: Sequence) -> bool:
         return all(self.field.is_zero(x) for x in u)
 
@@ -230,7 +240,7 @@ class BoundQuiverAlgebra(StructureAlgebra):
     def __init__(self, name, field, quiver, basis, table, relations, cutoff):
         super().__init__(field, table,
                          [unit_vector(field, len(basis), v) for v in range(quiver.n_vertices)],
-                         quiver.vertices)
+                         quiver.vertices, [(p.source, p.target) for p in basis])
         self.name = name
         self.quiver = quiver
         self.basis = tuple(basis)
@@ -544,12 +554,9 @@ def present_structure_as_bound_quiver(
                 nxt_span.add(sa.mul(u, v))
         nxt = nxt_span.basis()
         if len(nxt) == len(powers[-1]):
-            raise RuntimeError("presentation: supplied radical is not nilpotent")
+            raise CertificationError("presentation: supplied radical is not nilpotent")
         powers.append(nxt)
     ll = len(powers)  # rad^ll = 0
-
-    def block_project(u, v, vec):
-        return sa.mul(sa.idempotents[u], sa.mul(vec, sa.idempotents[v]))
 
     chosen: list[tuple[str, int, int, tuple]] = []
     chosen_span = Span(F, sa.dim)
@@ -563,7 +570,9 @@ def present_structure_as_bound_quiver(
         for v in range(nv):
             candidates = list(preferred_by_block.get((u, v), []))
             for r in rad.basis():
-                proj = block_project(u, v, r)
+                # e_u r e_v: the coordinates of r tagged (u, v)
+                proj = tuple(c if sa.block_of[i] == (u, v) else F.zero
+                             for i, c in enumerate(r))
                 if not sa.is_zero_vec(proj):
                     candidates.append((None, proj))
             for label, vec in candidates:
@@ -609,7 +618,7 @@ def present_structure_as_bound_quiver(
     bqa = construct_algebra(name, F, new_quiver, tuple(relations),
                             max_len=max(ll + 1, 4))
     if bqa.dim != sa.dim:
-        raise RuntimeError(f"presentation of {name!r} failed: dim {bqa.dim} != {sa.dim}")
+        raise CertificationError(f"presentation of {name!r}: dim {bqa.dim} != {sa.dim}")
     return bqa
 
 
@@ -624,7 +633,7 @@ def quotient_structure(sa: StructureAlgebra,
     The survivors are the basis positions whose unit vectors, taken greedily
     in basis order, complete the ideal; their images form the quotient basis.
     The quotient's idempotents are the nonzero images of the idempotents of
-    ``sa``, with their labels.
+    ``sa``, with their labels, and each survivor keeps its block.
     """
     F = sa.field
     span = Span(F, sa.dim)
@@ -637,26 +646,21 @@ def quotient_structure(sa: StructureAlgebra,
                          + list(sa.idempotents))
     images = [c[span.dim:] for c in coords]
     table = tuple(tuple(images[a * k:(a + 1) * k]) for a in range(k))
-    kept = [(e, lab) for e, lab in zip(images[k * k:], sa.vertex_labels)
-            if not sa.is_zero_vec(e)]
-    quot = StructureAlgebra(F, table, [e for e, _ in kept], [lab for _, lab in kept])
+    kept = [v for v, e in enumerate(images[k * k:]) if not sa.is_zero_vec(e)]
+    renumber = {v: n for n, v in enumerate(kept)}
+    quot = StructureAlgebra(F, table, [images[k * k + v] for v in kept],
+                            [sa.vertex_labels[v] for v in kept],
+                            [(renumber[u], renumber[v])
+                             for u, v in (sa.block_of[i] for i in survivors)])
     return quot, survivors
 
 
 def _survivor_presentation(algebra, ideal, name):
     sa, survivors = quotient_structure(algebra, ideal.basis_vectors())
-    vertex_pos = {algebra.quiver.vertex_index(lab): pos
-                  for pos, lab in enumerate(sa.vertex_labels)}
-    preferred = []
-    rad_vecs = []
-    for pos, i in enumerate(survivors):
-        p = algebra.basis[i]
-        if p.length == 1:
-            label = algebra.quiver.arrows[p.arrows[0]].label
-            preferred.append((label, vertex_pos[p.source], vertex_pos[p.target],
-                              sa.unit_vec(pos)))
-        if p.length >= 1:
-            rad_vecs.append(sa.unit_vec(pos))
+    paths = [algebra.basis[i] for i in survivors]
+    preferred = [(algebra.quiver.arrows[p.arrows[0]].label, *sa.block_of[pos],
+                  sa.unit_vec(pos)) for pos, p in enumerate(paths) if p.length == 1]
+    rad_vecs = [sa.unit_vec(pos) for pos, p in enumerate(paths) if p.length >= 1]
     return present_structure_as_bound_quiver(sa, name, rad_vecs, preferred)
 
 

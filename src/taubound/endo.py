@@ -20,7 +20,7 @@ from .algebra import (BoundQuiverAlgebra, Quiver, StructureAlgebra,
 from .decompose import _local_or_split, iso_test
 from .exceptions import CertificationError, InputError
 from .linalg import Span, coordinates, unit_vector
-from .reps import ModMap, Rep, hom_basis, identity_map, projective_dimension, simple
+from .reps import ModMap, Rep, hom_basis, identity_map
 
 
 @dataclass
@@ -29,7 +29,6 @@ class EndoAlgebra:
     sa: StructureAlgebra
     summands: tuple[Rep, ...]
     basis_maps: tuple[ModMap, ...]
-    block_of: tuple[tuple[int, int], ...]  # basis position -> (u, v)
     diag_offsets: tuple[int, ...]          # position of id_{T_u} in the basis
 
     @property
@@ -94,9 +93,9 @@ def endo_algebra(summands: Sequence[Rep],
             out[s:e] = local
             table[i][j] = tuple(out)
     idempotents = [unit_vector(F, dim, diag_offsets[u]) for u in range(t)]
-    sa = StructureAlgebra(F, tuple(tuple(row) for row in table), idempotents, labels)
-    return EndoAlgebra(sa, tuple(summands), tuple(basis_maps),
-                       tuple(block_of), tuple(diag_offsets))
+    sa = StructureAlgebra(F, tuple(tuple(row) for row in table), idempotents,
+                          labels, block_of)
+    return EndoAlgebra(sa, tuple(summands), tuple(basis_maps), tuple(diag_offsets))
 
 
 def quiver_presentation(endo: EndoAlgebra, name: str = "End") -> BoundQuiverAlgebra:
@@ -111,14 +110,10 @@ def quiver_presentation(endo: EndoAlgebra, name: str = "End") -> BoundQuiverAlge
     """
     sa = endo.sa
     F = sa.field
-    rad_vectors: list[tuple] = []
-    for i, (u, v) in enumerate(endo.block_of):
-        if u != v:
-            rad_vectors.append(sa.unit_vec(i))
+    rad_vectors = [sa.unit_vec(i) for i, (u, v) in enumerate(sa.block_of) if u != v]
     for u, T in enumerate(endo.summands):
         ident = endo.diag_offsets[u]
-        idx = [i for i, blk in enumerate(endo.block_of)
-               if blk == (u, u) and i != ident]
+        idx = [i for i in sa.block(u, u) if i != ident]
         _, lams = _local_or_split(T, [endo.basis_maps[i] for i in idx])
         if lams is None:
             raise CertificationError(
@@ -137,13 +132,11 @@ def quiver_presentation(endo: EndoAlgebra, name: str = "End") -> BoundQuiverAlge
 
 
 def is_hereditary(B: BoundQuiverAlgebra) -> bool:
-    if B.is_zero_algebra:
-        return True
-    for v in range(B.n_vertices):
-        d = projective_dimension(simple(B, v), cap=2)
-        if d is None or d > 1:
-            return False
-    return True
+    """kQ/I with I admissible is hereditary exactly when I = 0: a basic
+    hereditary algebra is the path algebra of its own quiver (Assem-Simson-
+    Skowronski, Vol. 1, 2006, VII.1), and every listed relation is a
+    nonzero element of kQ."""
+    return not B.relations
 
 
 def dynkin_type(quiver: Quiver) -> Optional[str]:
@@ -253,17 +246,18 @@ def derdim_estimate(B: BoundQuiverAlgebra,
 
 
 def merge_estimates(a: DerdimEstimate, b: DerdimEstimate) -> DerdimEstimate:
-    """Combine two estimates known to describe the same quantity."""
+    """Combine two estimates known to describe the same quantity; a
+    contradiction between them is a failed certificate."""
     if a.is_exact and b.is_exact:
         if a.value != b.value:
-            raise RuntimeError(
+            raise CertificationError(
                 f"inconsistent exact derived-dimension estimates: "
                 f"{a.value} ({a.provenance}) vs {b.value} ({b.provenance})"
             )
         return a
     if a.is_exact:
         if b.kind == "upper" and b.value < a.value:
-            raise RuntimeError(
+            raise CertificationError(
                 f"upper estimate {b.value} ({b.provenance}) below exact "
                 f"value {a.value} ({a.provenance})"
             )

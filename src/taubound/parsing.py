@@ -34,6 +34,8 @@ A registry file records derived-dimension facts by algebra name:
 
     derdim arrow_loop = 1
     derdim big_example <= 3
+
+A name ending in ``/I`` is refused, as every annihilator quotient bears it.
 """
 
 from __future__ import annotations
@@ -336,6 +338,8 @@ def parse_registry_text(text: str, path: str = "<registry>") -> dict:
                   "registry syntax: derdim <name> = <n>  or  derdim <name> <= <n>")
         name, op, val = m.groups()
         kind = "exact" if op == "=" else "upper"
+        if name.endswith("/I"):
+            _fail(path, lineno, f"registry entry {name!r} names a quotient A/I")
         if name in out:
             _fail(path, lineno, f"duplicate registry entry for {name!r}")
         out[name] = (kind, int(val))

@@ -14,8 +14,10 @@ Exact values are rarely available, so both sides are tracked as estimates
 * When the pair is tilting (M faithful), A and B themselves are derived
   equivalent and their estimates merge.
 
-A report never silently repairs an inconsistency: if an exact left-hand
-side exceeds the right-hand side, merging raises RuntimeError.
+C is estimated without the registry, as every annihilator quotient is
+named ``A/I``.  A report never silently repairs an inconsistency: two
+estimates of one quantity that contradict each other raise InputError
+when a registry entry is involved, and CertificationError otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .algebra import (BoundQuiverAlgebra, Quiver, construct_algebra,
                       factor_algebra, loewy_length)
 from .endo import (DerdimEstimate, DerdimRegistry, EndoAlgebra, derdim_estimate,
                    endo_algebra, merge_estimates, quiver_presentation)
-from .exceptions import InputError
+from .exceptions import CertificationError, InputError
 from .mutation import (ExchangeGraph, GraphNode, IsoRegistry, _sorted_pair,
                        compact_label, enumerate_stt, pair_key)
 from .reps import (Rep, annihilator, direct_sum, ext1_dim,
@@ -226,16 +228,20 @@ def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
     endo = endo_algebra(summands, labels=names)
     B = quiver_presentation(endo, name=f"End[{algebra.name}:{key}]")
     d_b = derdim_estimate(B, registry)
+    where = f"pair {key} of {algebra.name}"
+    # the registry entries that an estimate rests on
+    b_entries = {B.name} if d_b.provenance == "registry" else set()
+    entries = b_entries | ({algebra.name} if lhs.provenance == "registry" else set())
 
     # M is tilting over C = A/ann(M); a certified re-check lets estimates
     # transfer along the derived equivalence C ~ B
     proxy = _tilting_proxy(summands, C, MC, endo)
     if proxy.ok:
         # a faithful M has C = A, whose estimate is already at hand
-        est_c = lhs if C is algebra else derdim_estimate(C, registry)
-        d_b = merge_estimates(
-            d_b, DerdimEstimate(est_c.value, est_c.kind,
-                                f"derived-equivalence:{C.name}"))
+        est_c = lhs if C is algebra else derdim_estimate(C)
+        d_b = _merge_at(where, entries if C is algebra else b_entries, d_b,
+                        DerdimEstimate(est_c.value, est_c.kind,
+                                       f"derived-equivalence:{C.name}"))
         notes.append(f"tilting over {proxy.quotient_name} certified; "
                      f"estimates merged")
     else:
@@ -243,12 +249,12 @@ def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
                      + "; ".join(proxy.notes))
 
     if classification == "tilting":
-        merged = merge_estimates(
-            lhs, DerdimEstimate(d_b.value, d_b.kind,
-                                f"derived-equivalence:{B.name}"))
-        d_b = merge_estimates(
-            d_b, DerdimEstimate(lhs.value, lhs.kind,
-                                f"derived-equivalence:{algebra.name}"))
+        merged = _merge_at(where, entries, lhs,
+                           DerdimEstimate(d_b.value, d_b.kind,
+                                          f"derived-equivalence:{B.name}"))
+        d_b = _merge_at(where, entries, d_b,
+                        DerdimEstimate(lhs.value, lhs.kind,
+                                       f"derived-equivalence:{algebra.name}"))
         lhs = merged
         notes.append("faithful pair: the algebra and its endomorphism "
                      "algebra exchange estimates")
@@ -257,7 +263,8 @@ def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
     rhs_kind = d_b.kind
     # the bound itself is an upper estimate for the left-hand side; an
     # exact lhs above it is a hard inconsistency
-    lhs = merge_estimates(lhs, DerdimEstimate(rhs_value, "upper", "pair-bound"))
+    lhs = _merge_at(where, entries, lhs,
+                    DerdimEstimate(rhs_value, "upper", "pair-bound"))
 
     if lhs.is_exact and d_b.is_exact and lhs.value == rhs_value:
         status = "tight"
@@ -268,6 +275,19 @@ def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
     return BoundReport(algebra.name, key, classification, True, ann.dim, r,
                        endo.dim, d_b, lhs, rhs_value, rhs_kind, loewy_rhs,
                        status, tuple(notes))
+
+
+def _merge_at(where: str, entries: set[str], a: DerdimEstimate,
+              b: DerdimEstimate) -> DerdimEstimate:
+    """merge_estimates inside a report.  A contradiction is bad input when
+    a or b rests on registry ``entries``, and a failed certificate otherwise."""
+    try:
+        return merge_estimates(a, b)
+    except CertificationError as e:
+        if entries:
+            raise InputError(f"registry entry {', '.join(map(repr, sorted(entries)))} "
+                             f"contradicts the report on {where}: {e}") from None
+        raise CertificationError(f"report on {where}: {e}") from None
 
 
 def graph_reports(algebra: BoundQuiverAlgebra,

@@ -94,24 +94,16 @@ def zero_rep(algebra: BoundQuiverAlgebra) -> Rep:
                tuple(Mat.zeros(F, 0, 0) for _ in algebra.quiver.arrows), check=False)
 
 
-def projective_paths(algebra: BoundQuiverAlgebra, v: int) -> list[int]:
-    """Basis indices of the paths with source v, in basis order; these index
-    the coordinates of P(v) at each vertex (grouped by target)."""
-    return [i for i, p in enumerate(algebra.basis) if p.source == v]
-
-
 def projective(algebra: BoundQuiverAlgebra, v: int) -> Rep:
-    """The indecomposable projective P(v) = e_v A."""
+    """The indecomposable projective P(v) = e_v A; its coordinates at w are
+    the basis paths v -> w, in basis order."""
     A = algebra
     F = A.field
-    idx = projective_paths(A, v)
-    by_target = {w: [i for i in idx if A.basis[i].target == w]
-                 for w in range(A.n_vertices)}
-    dims = tuple(len(by_target[w]) for w in range(A.n_vertices))
+    dims = tuple(len(A.block(v, w)) for w in range(A.n_vertices))
     maps = []
     for ai, arr in enumerate(A.quiver.arrows):
-        cols = by_target[arr.source]
-        rows = by_target[arr.target]
+        cols = A.block(v, arr.source)
+        rows = A.block(v, arr.target)
         m = [[F.zero] * len(cols) for _ in rows]
         for c, pi in enumerate(cols):
             prod = A.table[pi][A.arrow_basis_index[ai]]
@@ -134,14 +126,11 @@ def injective_rep(algebra: BoundQuiverAlgebra, v: int) -> Rep:
     its coordinate at u is spanned by the duals of the paths u -> v."""
     A = algebra
     F = A.field
-    idx = [i for i, p in enumerate(A.basis) if p.target == v]
-    by_source = {u: [i for i in idx if A.basis[i].source == u]
-                 for u in range(A.n_vertices)}
-    dims = tuple(len(by_source[u]) for u in range(A.n_vertices))
+    dims = tuple(len(A.block(u, v)) for u in range(A.n_vertices))
     maps = []
     for ai, arr in enumerate(A.quiver.arrows):
-        cols = by_source[arr.source]   # duals of paths source(a) -> v
-        rows = by_source[arr.target]
+        cols = A.block(arr.source, v)   # duals of paths source(a) -> v
+        rows = A.block(arr.target, v)
         m = [[F.zero] * len(cols) for _ in rows]
         for r, qi in enumerate(rows):
             prod = A.table[A.arrow_basis_index[ai]][qi]  # a * q
@@ -465,7 +454,7 @@ def projective_cover(M: Rep) -> Cover:
     for w in range(A.n_vertices):
         cols = []
         for (v, k), P in zip(gens, summands):
-            for pi in [i for i in projective_paths(A, v) if A.basis[i].target == w]:
+            for pi in A.block(v, w):
                 pm = path_matrix(M, A.basis[pi])
                 cols.append([pm.entry(i, k) for i in range(pm.nrows)])
         blocks.append(Mat(F, M.dims[w], len(cols),
@@ -505,16 +494,14 @@ def minimal_presentation(M: Rep) -> Presentation:
     p0_coord = {}  # (vertex w, coordinate i) -> (copy l, basis path index)
     for l, v in enumerate(cov0.vertices):
         for w in range(A.n_vertices):
-            for pi in [i for i in projective_paths(A, v) if A.basis[i].target == w]:
+            for pi in A.block(v, w):
                 p0_coord[(w, run[w])] = (l, pi)
                 run[w] += 1
-    amatrix = []
-    for l in range(len(cov0.vertices)):
-        amatrix.append([A.zero_vec() for _ in range(len(cov1.vertices))])
-    col = [0] * A.n_vertices
+    amatrix = [[A.zero_vec() for _ in cov1.vertices] for _ in cov0.vertices]
     for k, v in enumerate(cov1.vertices):
-        # generator of copy k sits at vertex v, at the coordinate of the lazy path
-        gen_col = col[v]
+        # generator of copy k sits at vertex v, at the coordinate of the lazy
+        # path, after the paths into v of the copies before it
+        gen_col = sum(len(A.block(w, v)) for w in cov1.vertices[:k])
         blk = d1.blocks[v]
         for i in range(blk.nrows):
             c = blk.entry(i, gen_col)
@@ -524,8 +511,6 @@ def minimal_presentation(M: Rep) -> Presentation:
             vec = list(amatrix[l][k])
             vec[pi] = F.add(vec[pi], c)
             amatrix[l][k] = tuple(vec)
-        for w in range(A.n_vertices):
-            col[w] += sum(1 for i in projective_paths(A, v) if A.basis[i].target == w)
     return Presentation(
         module=M,
         p0_vertices=cov0.vertices,
@@ -592,9 +577,8 @@ def annihilator(M: Rep) -> Ideal:
             total += M.dims[j] * M.dims[i]
     rows = [[F.zero] * A.dim for _ in range(total)]
     for b in range(A.dim):
-        p = A.basis[b]
-        act = path_matrix(M, p)
-        base = offsets[(p.source, p.target)]
+        act = path_matrix(M, A.basis[b])
+        base = offsets[A.block_of[b]]
         for r in range(act.nrows):
             for c in range(act.ncols):
                 rows[base + r * act.ncols + c][b] = act.entry(r, c)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .algebra import BoundQuiverAlgebra
 from .decompose import _iso_classes, decompose
-from .exceptions import InputError
+from .exceptions import CertificationError, InputError
 from .linalg import Mat
 from .reps import (ModMap, Presentation, Rep, direct_sum, hom_basis, hom_dim,
                    injective_rep, kernel, minimal_presentation, zero_rep)
@@ -37,13 +37,6 @@ from .reps import (ModMap, Presentation, Rep, direct_sum, hom_basis, hom_dim,
 
 # ---------------------------------------------------------------------------
 # Nakayama functor on a presentation
-
-
-def _paths_into(A: BoundQuiverAlgebra, u: int, v: int) -> list[int]:
-    """Basis indices of paths u -> v, in basis order (the coordinate order
-    used by injective_rep)."""
-    return [i for i, p in enumerate(A.basis)
-            if p.source == u and p.target == v]
 
 
 def nakayama_presentation(pres: Presentation):
@@ -60,10 +53,10 @@ def nakayama_presentation(pres: Presentation):
         m = [[F.zero] * ncols for _ in range(nrows)]
         roff = 0
         for l, j in enumerate(pres.p0_vertices):
-            s_paths = _paths_into(A, u, j)
+            s_paths = A.block(u, j)
             coff = 0
             for k, i in enumerate(pres.p1_vertices):
-                r_paths = _paths_into(A, u, i)
+                r_paths = A.block(u, i)
                 x = pres.amatrix[l][k]
                 for si, sp in enumerate(s_paths):
                     prod = A.mul(A.unit_vec(sp), x)   # s * x, a path combo u -> i
@@ -186,7 +179,7 @@ def validate_stt_pair(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
                               for leaf in decompose(s, seed=seed).leaves])
     classes = len(counts)
     if classes > expected:
-        raise RuntimeError(
+        raise CertificationError(
             f"tau-rigid module with {classes} summand classes over an algebra "
             f"with {expected} vertices; this contradicts rigidity"
         )

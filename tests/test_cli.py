@@ -1,10 +1,13 @@
 """End-to-end CLI coverage through cli_run (in-process, no subprocess).
 """
 
+import ast
 import json
+import os
 
 import pytest
 
+import taubound
 from taubound.cli import cli_run
 from conftest import corpus_path
 
@@ -246,6 +249,42 @@ def test_exit_2_on_a_non_positive_budget(capsys, command, budget):
     assert code == 2 and not out
     assert err.startswith(f"error: {command}:")
     assert f"--max-nodes must be at least 1, got {budget}" in err
+
+
+@pytest.mark.parametrize("entry,fragment", [
+    # an exact derdim A above the Loewy bound of the first pair's End(M)
+    ("derdim arrow_loop = 3",
+     "registry entry 'arrow_loop' contradicts the report on pair "
+     "P1+P2 of arrow_loop: upper estimate 1 (loewy-bound) below exact value 3"),
+    # every quotient is named A/I, so the name cannot be looked up
+    ("derdim arrow_loop/I = 5",
+     ":1: registry entry 'arrow_loop/I' names a quotient A/I"),
+])
+def test_exit_2_on_a_registry_contradiction(capsys, tmp_path, entry, fragment):
+    reg = tmp_path / "bad.reg"
+    reg.write_text(entry + "\n")
+    code, out, err = run(capsys, "report", "--algebra", ALG, "--registry", str(reg))
+    assert code == 2 and not out
+    assert err.startswith("error: report:") and fragment in err
+
+
+def test_no_module_raises_runtime_error():
+    # RuntimeError has no exit code under the CLI contract: a failed
+    # certificate raises CertificationError (exit 3), bad input InputError
+    package = os.path.dirname(taubound.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                found.append(f"{name}:{node.lineno}")
+    assert not found
 
 
 def test_usage_error_exits_nonzero(capsys):

@@ -251,9 +251,9 @@ def test_merge_estimates():
 
 
 def test_merge_conflicts_raise():
-    with pytest.raises(RuntimeError, match="inconsistent exact"):
+    with pytest.raises(CertificationError, match="inconsistent exact"):
         merge_estimates(DerdimEstimate(1, "exact", "a"),
                         DerdimEstimate(2, "exact", "b"))
-    with pytest.raises(RuntimeError, match="below exact"):
+    with pytest.raises(CertificationError, match="below exact"):
         merge_estimates(DerdimEstimate(3, "exact", "a"),
                         DerdimEstimate(1, "upper", "b"))

@@ -248,6 +248,12 @@ def test_registry_duplicate():
         parse_registry_text("derdim a = 1\nderdim a = 2\n")
 
 
+def test_registry_refuses_a_quotient_name():
+    with pytest.raises(InputError, match=r"<registry>:2: registry entry "
+                                         r"'pp3/I' names a quotient"):
+        parse_registry_text("derdim pp3 <= 2\nderdim pp3/I = 0\n")
+
+
 def test_registry_comments_and_blanks_only():
     assert parse_registry_text("# nothing\n\n") == {}
 

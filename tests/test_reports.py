@@ -9,10 +9,10 @@ import pytest
 import taubound.algebra
 import taubound.reports
 from conftest import perfbench_algebras
-from taubound import InputError, parse_algebra_text
+from taubound import CertificationError, InputError, parse_algebra_text
 from taubound.algebra import loewy_length
 from taubound.decompose import decompose
-from taubound.endo import derdim_estimate, endo_algebra
+from taubound.endo import DerdimEstimate, derdim_estimate, endo_algebra
 from taubound.mutation import enumerate_stt
 from taubound.reports import (canonical_json, derdim_bound_report,
                               export_graph_dot, export_graph_json,
@@ -228,12 +228,45 @@ def test_report_rejects_invalid_pair(arrow_loop):
 
 
 def test_bad_registry_conflict_raises(arrow_loop):
-    # an exact lhs far above the certified rhs must blow up, not pass
-    with pytest.raises(RuntimeError):
+    # an exact lhs far above the certified rhs must blow up, not pass, and
+    # blame the registry entry at the pair
+    with pytest.raises(InputError, match=r"registry entry 'arrow_loop' "
+                                         r"contradicts the report on pair "):
         derdim_bound_report(arrow_loop,
                             [projective(arrow_loop, 0),
                              simple(arrow_loop, 0)],
                             registry={"arrow_loop": ("exact", 5)})
+
+
+def test_a_contradiction_without_the_registry_is_a_failed_certificate(
+        arrow_loop, monkeypatch):
+    # P1+S1 is not faithful; a wrong exact estimate of C = A/I contradicts
+    # d_B = 0 with no registry fact involved, even with A in the registry
+    estimate = taubound.reports.derdim_estimate
+
+    def wrong_for_the_quotient(X, registry=None):
+        if X.name == "arrow_loop/I":
+            return DerdimEstimate(7, "exact", "rule:semisimple")
+        return estimate(X, registry)
+
+    monkeypatch.setattr(taubound.reports, "derdim_estimate", wrong_for_the_quotient)
+    with pytest.raises(CertificationError, match=r"report on pair P1\+S1 of "
+                                                 r"arrow_loop: inconsistent exact"):
+        derdim_bound_report(arrow_loop, [projective(arrow_loop, 0),
+                                         simple(arrow_loop, 0)], registry=REG)
+
+
+def test_no_registry_entry_changes_the_estimate_of_a_quotient():
+    # the non-faithful sincere nodes of preprojective A3 have five quotients
+    # of dims 5 to 9, all named preproj3/I
+    A = parse_algebra_text(perfbench_algebras().preprojective_text(
+        "preproj3", 3, "Fp 32003"))
+    _, plain = graph_reports(A)
+    assert sum(1 for r in plain if r.applicable and r.ann_dim) == 12
+    for entry in [("exact", 0), ("upper", 0), ("exact", 9)]:
+        _, reports = graph_reports(A, registry={"preproj3/I": entry})
+        assert [r.to_json_dict() for r in reports] == \
+            [r.to_json_dict() for r in plain]
 
 
 def test_loewy_bound_consistency(corpus_algebras, known_registry):
