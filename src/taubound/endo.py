@@ -42,6 +42,9 @@ def endo_algebra(summands: Sequence[Rep],
     if t == 0:
         raise InputError("endo_algebra: empty summand list")
     A = summands[0].algebra
+    for s in summands:
+        if s.algebra is not A:
+            raise InputError(f"endo_algebra: summands over {A.name} and {s.algebra.name}")
     F = A.field
     # the presentation below reads off local blocks, so repeats are rejected
     for u in range(t):

@@ -8,11 +8,12 @@ ann(M) and B = End(M).  The inequality under test is
 Exact values are rarely available, so both sides are tracked as estimates
 (exact or upper) and refined through certified derived equivalences:
 
-* M is always a tilting module over C = A / ann(M); once the tilting
-  axioms are re-checked computationally over C, estimates for C transfer
-  to B and back.
-* When the pair is tilting (M faithful), A and B themselves are derived
-  equivalent and their estimates merge.
+* When the pair is tilting, M is faithful (AIR Prop. 2.2), so r = 1 and
+  A and B themselves are derived equivalent: their estimates merge, on
+  the certificates that classified the pair.
+* Otherwise M is a tilting module over the proper quotient C = A / ann(M);
+  once the tilting axioms are re-checked computationally over C,
+  estimates for C transfer to B.
 
 C is estimated without the registry, as every annihilator quotient is
 named ``A/I``.  A report never silently repairs an inconsistency: two
@@ -213,17 +214,13 @@ def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
     algebra, key, classification = node.pair.algebra, node.key, node.classification
     summands, names = list(node.pair.summands), list(node.summand_names)
 
-    M = direct_sum(algebra, summands).rep
     if classification in ("zero", "proper-support"):
         return BoundReport(algebra.name, key, classification, False,
-                           annihilator(M).dim, None, None, None, None, None,
-                           None, loewy_rhs, "inapplicable",
+                           annihilator(direct_sum(algebra, summands).rep).dim,
+                           None, None, None, None, None, None, loewy_rhs,
+                           "inapplicable",
                            ("the annihilator contains idempotents: the bound "
                             "addresses tau-tilting modules",))
-
-    C, ann, MC = quotient_by_annihilator(algebra, M)
-    r = ann.nilpotency_index()
-    notes = [f"annihilator has dimension {ann.dim}, nilpotency index {r}"]
 
     endo = endo_algebra(summands, labels=names)
     B = quiver_presentation(endo, name=f"End[{algebra.name}:{key}]")
@@ -233,31 +230,34 @@ def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
     b_entries = {B.name} if d_b.provenance == "registry" else set()
     entries = b_entries | ({algebra.name} if lhs.provenance == "registry" else set())
 
-    # M is tilting over C = A/ann(M); a certified re-check lets estimates
-    # transfer along the derived equivalence C ~ B
-    proxy = _tilting_proxy(summands, C, MC, endo)
-    if proxy.ok:
-        # a faithful M has C = A, whose estimate is already at hand
-        est_c = lhs if C is algebra else derdim_estimate(C)
-        d_b = _merge_at(where, entries if C is algebra else b_entries, d_b,
-                        DerdimEstimate(est_c.value, est_c.kind,
-                                       f"derived-equivalence:{C.name}"))
-        notes.append(f"tilting over {proxy.quotient_name} certified; "
-                     f"estimates merged")
-    else:
-        notes.append("quotient tilting re-check failed: "
-                     + "; ".join(proxy.notes))
-
     if classification == "tilting":
-        merged = _merge_at(where, entries, lhs,
-                           DerdimEstimate(d_b.value, d_b.kind,
-                                          f"derived-equivalence:{B.name}"))
-        d_b = _merge_at(where, entries, d_b,
-                        DerdimEstimate(lhs.value, lhs.kind,
-                                       f"derived-equivalence:{algebra.name}"))
-        lhs = merged
-        notes.append("faithful pair: the algebra and its endomorphism "
-                     "algebra exchange estimates")
+        # pd M <= 1 and Ext^1(M, M) = 0 are the classification's own
+        # certificates, and a tilting M is faithful (AIR Prop. 2.2): ann(M)
+        # = 0, r = 1, C = A, and A and B exchange estimates once
+        ann_dim, r = 0, 1
+        d_b, lhs = (_merge_at(where, entries, d_b, DerdimEstimate(
+                        lhs.value, lhs.kind, f"derived-equivalence:{algebra.name}")),
+                    _merge_at(where, entries, lhs, DerdimEstimate(
+                        d_b.value, d_b.kind, f"derived-equivalence:{B.name}")))
+        notes = ["annihilator has dimension 0, nilpotency index 1",
+                 f"tilting over {algebra.name} certified; estimates merged",
+                 "faithful pair: the algebra and its endomorphism "
+                 "algebra exchange estimates"]
+    else:
+        # M is tilting over the proper quotient C = A/ann(M); a certified
+        # re-check lets estimates transfer along the derived equivalence C ~ B
+        C, ann, MC = quotient_by_annihilator(algebra, direct_sum(algebra, summands).rep)
+        ann_dim, r = ann.dim, ann.nilpotency_index()
+        notes = [f"annihilator has dimension {ann_dim}, nilpotency index {r}"]
+        proxy = _tilting_proxy(summands, C, MC, endo)
+        if proxy.ok:
+            est_c = derdim_estimate(C)
+            d_b = _merge_at(where, b_entries, d_b, DerdimEstimate(
+                est_c.value, est_c.kind, f"derived-equivalence:{C.name}"))
+            notes.append(f"tilting over {C.name} certified; estimates merged")
+        else:
+            notes.append("quotient tilting re-check failed: "
+                         + "; ".join(proxy.notes))
 
     rhs_value = r * (1 + d_b.value) - 1
     rhs_kind = d_b.kind
@@ -272,7 +272,7 @@ def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
         status = "satisfied"
     else:
         status = "bound-only"
-    return BoundReport(algebra.name, key, classification, True, ann.dim, r,
+    return BoundReport(algebra.name, key, classification, True, ann_dim, r,
                        endo.dim, d_b, lhs, rhs_value, rhs_kind, loewy_rhs,
                        status, tuple(notes))
 

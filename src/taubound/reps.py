@@ -392,6 +392,9 @@ class DirectSum:
 
 
 def direct_sum(algebra: BoundQuiverAlgebra, reps: Sequence[Rep]) -> DirectSum:
+    for r in reps:
+        if r.algebra is not algebra:
+            raise InputError(f"direct_sum: summand over {r.algebra.name}, not {algebra.name}")
     F = algebra.field
     nv = algebra.n_vertices
     dims = tuple(sum(r.dims[v] for r in reps) for v in range(nv))

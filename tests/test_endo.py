@@ -80,6 +80,11 @@ def test_endo_rejects_empty_list():
         endo_algebra([])
 
 
+def test_endo_rejects_summands_over_two_algebras(line2, line3):
+    with pytest.raises(InputError, match="summands over line2 and line3"):
+        endo_algebra([projective(line2, 0), projective(line3, 0)])
+
+
 def test_non_split_block_is_rejected():
     # over F_3 the centralizer of the companion matrix of x^2 + 1 is the
     # field with nine elements: a local block that does not split

@@ -111,6 +111,12 @@ def test_proxy_fails_for_incomplete_module(line2):
     assert any("summand classes" in n for n in rep.notes)
 
 
+def test_proxy_refuses_a_summand_over_another_algebra(line2, line3):
+    # the module is not truncated to line2's vertices and checked there
+    with pytest.raises(InputError, match="summand over line3, not line2"):
+        tilting_proxy_check(line2, [projective(line3, 0)])
+
+
 def test_proxy_passes_on_every_corpus_node(corpus_algebras):
     for A in corpus_algebras.values():
         g = enumerate_stt(A)
@@ -327,13 +333,33 @@ def test_graph_reports_build_each_node_fact_once(corpus_algebras, monkeypatch):
         for c in calls.values():
             c.clear()
         graph, _ = graph_reports(A)
-        sincere = sum(n.classification in ("tilting", "tau-tilting-not-tilting")
-                      for n in graph.nodes)
-        # End(M) once over A and once over C, presented once
-        assert len(calls["endo_algebra"]) == 2 * sincere, A.name
+        faithful = sum(n.classification == "tilting" for n in graph.nodes)
+        non_faithful = sum(n.classification == "tau-tilting-not-tilting"
+                           for n in graph.nodes)
+        sincere = faithful + non_faithful
+        # End(M) once over A, presented once; End over C once more at each
+        # non-faithful node, where the quotient re-check runs
+        assert len(calls["endo_algebra"]) == sincere + non_faithful, A.name
         assert len(calls["quiver_presentation"]) == sincere, A.name
-        assert len(calls["annihilator"]) == graph.n_nodes, A.name
+        # a faithful node's annihilator is 0 by classification
+        assert len(calls["annihilator"]) == graph.n_nodes - faithful, A.name
         assert sum(args[0] is A for args in calls["derdim_estimate"]) == 1, A.name
+
+
+def test_faithful_nodes_are_reported_from_their_certificates(monkeypatch):
+    # every sincere node of A4 is faithful: no pd, Ext^1, annihilator or
+    # quotient is computed for it, and End(M) is built once per node
+    A = parse_algebra_text(perfbench_algebras().line_text("line4", 4, "Fp 32003"))
+    counted = ("endo_algebra", "annihilator", "ext1_dim",
+               "projective_dimension", "quotient_by_annihilator")
+    calls = {name: _count_calls(monkeypatch, name) for name in counted}
+    graph, _ = graph_reports(A)
+    faithful = sum(n.classification == "tilting" for n in graph.nodes)
+    assert faithful == 14 and graph.n_nodes == 42
+    assert len(calls["endo_algebra"]) == faithful
+    assert len(calls["annihilator"]) == graph.n_nodes - faithful
+    assert not (calls["ext1_dim"] or calls["projective_dimension"]
+                or calls["quotient_by_annihilator"])
 
 
 def test_inapplicable_report_skips_the_ambient_estimate(arrow_loop, monkeypatch):

@@ -67,6 +67,11 @@ def test_sincerity(arrow_loop):
     assert not projective(arrow_loop, 1).is_sincere()
 
 
+def test_direct_sum_rejects_a_summand_over_another_algebra(line2, line3):
+    with pytest.raises(InputError, match="summand over line3, not line2"):
+        direct_sum(line2, [projective(line2, 0), projective(line3, 0)])
+
+
 # ---------------------------------------------------------------------------
 # hom spaces
 
