@@ -11,9 +11,9 @@ Exact values are rarely available, so both sides are tracked as estimates
 * When the pair is tilting, M is faithful (AIR Prop. 2.2), so r = 1 and
   A and B themselves are derived equivalent: their estimates merge, on
   the certificates that classified the pair.
-* Otherwise M is a tilting module over the proper quotient C = A / ann(M);
-  once the tilting axioms are re-checked computationally over C,
-  estimates for C transfer to B.
+* Otherwise M is a tilting module over the proper quotient C = A / ann(M),
+  re-checked by validating and classifying its summands as a pair over C;
+  estimates for C then transfer to B.  End(M) is built once, over A.
 
 C is estimated without the registry, as every annihilator quotient is
 named ``A/I``.  A report never silently repairs an inconsistency: two
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .algebra import (BoundQuiverAlgebra, Quiver, construct_algebra,
                       factor_algebra, loewy_length)
-from .endo import (DerdimEstimate, DerdimRegistry, EndoAlgebra, derdim_estimate,
+from .endo import (DerdimEstimate, DerdimRegistry, derdim_estimate,
                    endo_algebra, merge_estimates, quiver_presentation)
 from .exceptions import CertificationError, InputError
 from .mutation import (ExchangeGraph, GraphNode, IsoRegistry, _sorted_pair,
@@ -86,48 +86,35 @@ def tilting_proxy_check(algebra: BoundQuiverAlgebra,
     its annihilator quotient C, and that End does not change under the
     transport to C.  The summands must be a valid pair's indecomposable,
     pairwise non-isomorphic summands (none gives C = 0); as Hom_C = Hom_A
-    for C-modules, their number is the summand count over C."""
-    M = direct_sum(algebra, list(summands)).rep
-    C, _, MC = quotient_by_annihilator(algebra, M)
-    endo = endo_algebra(list(summands)) if summands else None
-    return _tilting_proxy(summands, C, MC, endo)
-
-
-def _tilting_proxy(summands: Sequence[Rep], C: BoundQuiverAlgebra, MC: Rep,
-                   endo: Optional[EndoAlgebra]) -> TiltingProxyReport:
-    """tilting_proxy_check given C, M as a C-module and End(M) over the
-    ambient algebra (None when M = 0).  End over C is computed afresh; as
-    Hom_C = Hom_A inside the same coordinate space and ``hom_basis`` reads
-    its basis off that space, the two agree exactly when their structure
-    tables and idempotents do, which makes their presentations identical."""
+    for C-modules, their number is the summand count over C, and End over
+    A and over C agree exactly when their tables and idempotents do.  Each
+    check is computed afresh on the direct sum over C."""
+    summands = list(summands)
+    C, _, MC = quotient_by_annihilator(algebra, direct_sum(algebra, summands).rep)
     notes: list[str] = []
-    ok = True
     pd = projective_dimension(MC)
     if pd is None or pd > 1:
-        ok = False
         notes.append(f"pd over {C.name} is {pd}, not <= 1")
     ext = ext1_dim(MC, MC)
     if ext:
-        ok = False
         notes.append(f"Ext^1(M, M) has dimension {ext} over {C.name}")
     classes = len(summands)
     if classes != C.n_vertices:
-        ok = False
         notes.append(f"{classes} summand classes over an algebra with "
                      f"{C.n_vertices} vertices")
 
     match, dim_a, dim_c = None, 0, 0
-    if endo is not None:
+    if summands:
+        endo = endo_algebra(summands)
         endo_c = endo_algebra([restrict_to_quotient(s, C) for s in summands])
         dim_a, dim_c = endo.dim, endo_c.dim
         match = (endo_c.sa.table == endo.sa.table
                  and endo_c.sa.idempotents == endo.sa.idempotents)
         if not match:
-            ok = False
             notes.append("endomorphism algebra changed under the quotient "
                          "transport")
     return TiltingProxyReport(C.name, C.dim, pd, ext, classes, C.n_vertices,
-                              dim_a, dim_c, match, ok, tuple(notes))
+                              dim_a, dim_c, match, not notes, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +190,16 @@ def derdim_bound_report(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
     lhs = (None if classification in ("zero", "proper-support")
            else derdim_estimate(algebra, registry))
     return _node_report(GraphNode(pair_key(names), pair, names, classification),
-                        registry, loewy_length(algebra) - 1, lhs)
+                        registry, loewy_length(algebra) - 1, lhs, seed)
 
 
 def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
-                 loewy_rhs: int, lhs: Optional[DerdimEstimate]) -> BoundReport:
+                 loewy_rhs: int, lhs: Optional[DerdimEstimate],
+                 seed: int) -> BoundReport:
     """The report on a pair that is already validated, named (summands in
-    name order) and classified; ``loewy_rhs`` is Loewy length minus one and
-    ``lhs`` the estimate of derdim(A), None when the pair is inapplicable."""
+    name order) and classified; ``loewy_rhs`` is Loewy length minus one,
+    ``lhs`` the estimate of derdim(A), None when the pair is inapplicable,
+    and ``seed`` drives the decompositions of the re-check over A/ann(M)."""
     algebra, key, classification = node.pair.algebra, node.key, node.classification
     summands, names = list(node.pair.summands), list(node.summand_names)
 
@@ -244,20 +233,25 @@ def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
                  "faithful pair: the algebra and its endomorphism "
                  "algebra exchange estimates"]
     else:
-        # M is tilting over the proper quotient C = A/ann(M); a certified
-        # re-check lets estimates transfer along the derived equivalence C ~ B
-        C, ann, MC = quotient_by_annihilator(algebra, direct_sum(algebra, summands).rep)
+        # M is tilting over the proper quotient C = A/ann(M) (AIR Prop. 2.2):
+        # a valid pair over C with pd <= 1, so Ext^1_C(M, M) ~= D Hom_C(M,
+        # tau_C M) = 0.  Estimates then transfer along the equivalence C ~ B
+        ann = annihilator(direct_sum(algebra, summands).rep)
+        C = factor_algebra(algebra, ann)
         ann_dim, r = ann.dim, ann.nilpotency_index()
         notes = [f"annihilator has dimension {ann_dim}, nilpotency index {r}"]
-        proxy = _tilting_proxy(summands, C, MC, endo)
-        if proxy.ok:
+        parts = [restrict_to_quotient(s, C) for s in summands]
+        val = validate_stt_pair(C, parts, (), seed=seed)
+        failed = list(val.reasons)
+        if val.ok and _classify_valid_pair(C, parts, ()) != "tilting":
+            failed.append(f"a summand has projective dimension > 1 over {C.name}")
+        if not failed:
             est_c = derdim_estimate(C)
             d_b = _merge_at(where, b_entries, d_b, DerdimEstimate(
                 est_c.value, est_c.kind, f"derived-equivalence:{C.name}"))
             notes.append(f"tilting over {C.name} certified; estimates merged")
         else:
-            notes.append("quotient tilting re-check failed: "
-                         + "; ".join(proxy.notes))
+            notes.append("quotient tilting re-check failed: " + "; ".join(failed))
 
     rhs_value = r * (1 + d_b.value) - 1
     rhs_kind = d_b.kind
@@ -298,7 +292,8 @@ def graph_reports(algebra: BoundQuiverAlgebra,
     graph = enumerate_stt(algebra, max_nodes=max_nodes, seed=seed)
     loewy_rhs = loewy_length(algebra) - 1
     lhs = derdim_estimate(algebra, registry)
-    reports = [_node_report(node, registry, loewy_rhs, lhs) for node in graph.nodes]
+    reports = [_node_report(node, registry, loewy_rhs, lhs, seed)
+               for node in graph.nodes]
     return graph, reports
 
 

@@ -67,11 +67,13 @@ def _structure_algebras(built):
 
 def test_every_kind_of_algebra_is_seen(built):
     assert len(built["bound"]) > 90 and len(built["quotient"]) > 20
-    # End(M) over A at each of the 62 sincere nodes, and End over C at the
-    # 31 non-faithful ones: 69 distinct algebras by name and table
-    assert len(built["endo"]) == 62 + 31
+    # End(M) over A once at each of the 62 sincere nodes, and never over a
+    # quotient C, where it is the same algebra: 50 distinct algebras by
+    # name and table, and 41 distinct tables
+    assert len(built["endo"]) == 62
     assert len({(e.summands[0].algebra.name, e.sa.table)
-                for e in built["endo"]}) == 69
+                for e in built["endo"]}) == 50
+    assert len({e.sa.table for e in built["endo"]}) == 41
 
 
 def test_path_algebra_blocks_are_the_path_scan(built):

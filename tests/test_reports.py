@@ -163,6 +163,54 @@ def test_changed_end_over_the_quotient_fails_the_recheck(arrow_loop, monkeypatch
     assert "endomorphism algebra changed under the quotient transport" in rep.notes
 
 
+def _report_with(monkeypatch, name, wrong):
+    """The report on arrow_loop's P1+S1 with ``name`` in reports replaced by
+    ``wrong(original, *args)``, and the names of the algebras estimated."""
+    original = getattr(taubound.reports, name)
+    monkeypatch.setattr(taubound.reports, name,
+                        lambda *args, **kwargs: wrong(original, *args, **kwargs))
+    estimated = _count_calls(monkeypatch, "derdim_estimate")
+    A = parse_algebra_text(perfbench_algebras().ARROW_LOOP)
+    rep = derdim_bound_report(A, [projective(A, 0), simple(A, 0)], registry=REG)
+    return rep, [args[0].name for args in estimated]
+
+
+def test_a_passed_recheck_merges_the_estimate_of_the_quotient(monkeypatch):
+    rep, estimated = _report_with(monkeypatch, "restrict_to_quotient",
+                                  lambda original, *args: original(*args))
+    assert rep.notes[-1] == "tilting over arrow_loop/I certified; estimates merged"
+    assert "arrow_loop/I" in estimated
+
+
+def test_repeated_parts_over_the_quotient_fail_the_recheck(monkeypatch):
+    # both summands restricted to C as P(1): a repeated summand over C
+    seen = []
+
+    def first_summand_twice(original, M, C):
+        seen.append(M)
+        return original(seen[0], C)
+
+    rep, estimated = _report_with(monkeypatch, "restrict_to_quotient",
+                                  first_summand_twice)
+    assert rep.notes[-1] == ("quotient tilting re-check failed: repeated "
+                             "indecomposable summands (module is not basic)")
+    # d_B is B's own estimate, not merged with one of C
+    assert "arrow_loop/I" not in estimated
+
+
+def test_a_summand_of_pd_two_over_the_quotient_fails_the_recheck(monkeypatch):
+    def not_tilting_over_c(original, X, parts, support):
+        if X.name == "arrow_loop/I":
+            return "tau-tilting-not-tilting"
+        return original(X, parts, support)
+
+    rep, estimated = _report_with(monkeypatch, "_classify_valid_pair",
+                                  not_tilting_over_c)
+    assert rep.notes[-1] == ("quotient tilting re-check failed: a summand has "
+                             "projective dimension > 1 over arrow_loop/I")
+    assert "arrow_loop/I" not in estimated
+
+
 # ---------------------------------------------------------------------------
 # per-pair bound reports
 
@@ -327,7 +375,9 @@ def _count_calls(monkeypatch, name, module=taubound.reports):
 
 def test_graph_reports_build_each_node_fact_once(corpus_algebras, monkeypatch):
     counted = ("endo_algebra", "quiver_presentation", "annihilator",
-               "derdim_estimate")
+               "derdim_estimate", "restrict_to_quotient", "ext1_dim",
+               "projective_dimension", "quotient_by_annihilator",
+               "tilting_proxy_check")
     calls = {name: _count_calls(monkeypatch, name) for name in counted}
     for A in corpus_algebras.values():
         for c in calls.values():
@@ -337,13 +387,22 @@ def test_graph_reports_build_each_node_fact_once(corpus_algebras, monkeypatch):
         non_faithful = sum(n.classification == "tau-tilting-not-tilting"
                            for n in graph.nodes)
         sincere = faithful + non_faithful
-        # End(M) once over A, presented once; End over C once more at each
-        # non-faithful node, where the quotient re-check runs
-        assert len(calls["endo_algebra"]) == sincere + non_faithful, A.name
+        # End(M) once over A, presented once, and never over C = A/ann M,
+        # where End_C(M) = End_A(M)
+        assert len(calls["endo_algebra"]) == sincere, A.name
         assert len(calls["quiver_presentation"]) == sincere, A.name
         # a faithful node's annihilator is 0 by classification
         assert len(calls["annihilator"]) == graph.n_nodes - faithful, A.name
         assert sum(args[0] is A for args in calls["derdim_estimate"]) == 1, A.name
+        # the re-check over C restricts each listed summand, never their sum
+        listed = {id(s) for n in graph.nodes for s in n.pair.summands}
+        assert all(id(args[0]) in listed for args in calls["restrict_to_quotient"])
+        assert len(calls["restrict_to_quotient"]) == sum(
+            len(n.pair.summands) for n in graph.nodes
+            if n.classification == "tau-tilting-not-tilting"), A.name
+        for name in ("ext1_dim", "projective_dimension",
+                     "quotient_by_annihilator", "tilting_proxy_check"):
+            assert not calls[name], (A.name, name)
 
 
 def test_faithful_nodes_are_reported_from_their_certificates(monkeypatch):
