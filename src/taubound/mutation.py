@@ -25,8 +25,12 @@ indecomposable, new, and keep the module tau-rigid over A, which passes
 to the support quotient (Lemma 2.1).  The remaining summands R are
 already tau-rigid together, certified where their pair was reached, so
 only the new blocks Hom(C, tau C), Hom(C, tau R) and Hom(R, tau C) are
-checked, with tau of each summand computed once.  By Thm 2.18 both
-always hold.
+checked.  By Thm 2.18 both always hold.  An enumeration, or one mutation,
+keeps a store of the summand classes met: one module per class, whose tau,
+Hom bases, λ_b and name are computed once.  An invertible basis hom C -> K
+to a stored K proves C ~= K, and C indecomposable as K is; the step goes
+on with K.  Only a class not stored is decomposed, and it is new to every
+remaining summand.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .decompose import _indec_iso, _local_or_split, decompose, iso_test
 from .exceptions import CertificationError, InputError
 from .linalg import Mat, Span, nullspace
 from .reps import (ModMap, Rep, acts_nilpotently, cokernel, direct_sum, dual, hom_basis,
-                   hom_dim, linear_combination, projective, simple, zero_map)
+                   linear_combination, projective, simple, zero_map)
 from .tau import SttPair, _classify_valid_pair, tau, tau_data, validate_stt_pair
 
 
@@ -48,17 +52,18 @@ from .tau import SttPair, _classify_valid_pair, tau, tau_data, validate_stt_pair
 # Fac membership
 
 
-def fac_contains(generators: Sequence[Rep], X: Rep) -> bool:
+def fac_contains(generators: Sequence[Rep], X: Rep, *, _store=None) -> bool:
     """Is X a quotient of a finite direct sum of the generators?  True iff
     the images of all homs into X jointly fill every vertex space."""
     if X.dim_total == 0:
         return True
+    store = _ClassStore(()) if _store is None else _store
     F = X.algebra.field
     spans = [Span(F, d) for d in X.dims]
     for G in generators:
         if G.dim_total == 0:
             continue
-        for h in hom_basis(G, X):
+        for h in store.hom(G, X):
             for v, blk in enumerate(h.blocks):
                 for c in range(blk.ncols):
                     spans[v].add(tuple(blk.entry(r, c) for r in range(blk.nrows)))
@@ -91,16 +96,17 @@ def _certify_left_minimal(f: ModMap):
         )
 
 
-def minimal_left_approximation(X: Rep, targets: Sequence[Rep]):
+def minimal_left_approximation(X: Rep, targets: Sequence[Rep], *, _store=None):
     """A certified minimal left approximation of X into add(targets), which
     must be pairwise non-isomorphic indecomposables with split local End;
     other targets raise CertificationError.  Returns (f, kept) where kept
     lists the (target index, hom) copies forming the codomain of f in order:
     the basis homs X -> T_i that are new modulo the radical compositions."""
+    store = _ClassStore(()) if _store is None else _store
     F = X.algebra.field
-    gs = {i: homs for i, T in enumerate(targets) if (homs := hom_basis(X, T))}
+    gs = {i: homs for i, T in enumerate(targets) if (homs := store.hom(X, T))}
     # comps[j, i][a][c] is the vector of u_a . g_c, u_a a basis hom T_j -> T_i
-    between = {(j, i): hom_basis(targets[j], targets[i]) for j in gs for i in gs}
+    between = {(j, i): store.hom(targets[j], targets[i]) for j in gs for i in gs}
     comps = {(j, i): [[u.compose(g).vectorize() for g in gs[j]] for u in us]
              for (j, i), us in between.items()}
     vecs = {i: [g.vectorize() for g in homs] for i, homs in gs.items()}
@@ -110,7 +116,7 @@ def minimal_left_approximation(X: Rep, targets: Sequence[Rep]):
         for w in (w for j in gs if j != i for row in comps[j, i] for w in row):
             rad.add(w)
         if len(between[i, i]) > 1:
-            _, lams = _local_or_split(targets[i], between[i, i])
+            lams = store.lams(targets[i])
             if lams is None:
                 raise CertificationError(f"approximation target {targets[i].dims_str()} "
                                          f"is not indecomposable with split local End")
@@ -152,7 +158,35 @@ class _UpOnlySlot(InputError):
     only upwards; callers that try every slot skip it."""
 
 
-def mutate_down(pair: SttPair, slot: int, seed: int = 0) -> MutationStep:
+class _ClassStore:
+    """Certified-indecomposable, pairwise non-isomorphic canonical modules
+    by dimension vector, with their facts (see the module docstring)."""
+
+    def __init__(self, summands: Sequence[Rep], registry: Optional[IsoRegistry] = None):
+        self.classes: dict[tuple, list[Rep]] = {}
+        for K in summands:
+            self.classes.setdefault(K.dims, []).append(K)
+        self.registry, self._facts = registry, {}
+
+    def _fact(self, key: tuple, compute):
+        return self._facts[key] if key in self._facts else self._facts.setdefault(key, compute())
+
+    def hom(self, X: Rep, Y: Rep) -> list[ModMap]:
+        return self._fact(("hom", X, Y), lambda: hom_basis(X, Y))
+
+    def lams(self, T: Rep) -> Optional[list]:
+        return self._fact(("lams", T), lambda: _local_or_split(T, self.hom(T, T))[1])
+
+    def name(self, K: Rep) -> str:
+        return self._fact(("name", K), lambda: self.registry.name_of(K, _indecomposable=True))
+
+    def resolve(self, C: Rep) -> Optional[Rep]:
+        """The stored K with an invertible basis hom C -> K, or None."""
+        return next((K for K in self.classes.get(C.dims, ())
+                     if _indec_iso(C, K) is not None), None)
+
+
+def mutate_down(pair: SttPair, slot: int, seed: int = 0, *, _store=None) -> MutationStep:
     """Exchange the module summand at ``slot`` downwards; requires that the
     summand is not generated by the others, and that the listed summands
     are the valid pair's indecomposable summands (``mutate`` checks this).
@@ -160,23 +194,24 @@ def mutate_down(pair: SttPair, slot: int, seed: int = 0) -> MutationStep:
     A = pair.algebra
     if not (0 <= slot < len(pair.summands)):
         raise InputError(f"no module summand at slot {slot}")
+    store = _ClassStore(pair.summands) if _store is None else _store
     X = pair.summands[slot]
     rest = [s for i, s in enumerate(pair.summands) if i != slot]
-    if fac_contains(rest, X):
+    if fac_contains(rest, X, _store=store):
         raise _UpOnlySlot(
             "summand is generated by the others; this slot only mutates upwards"
         )
     try:
-        return _exchange_down(pair, X, rest, seed)
+        return _exchange_down(pair, X, rest, seed, store)
     except CertificationError as err:
         raise CertificationError(
             f"mutation of {A.name} at slot {slot} (summand {X.dims_str()}) "
             f"failed certification: {err}") from err
 
 
-def _exchange_down(pair: SttPair, X: Rep, rest: list[Rep], seed: int) -> MutationStep:
+def _exchange_down(pair: SttPair, X: Rep, rest: list[Rep], seed: int, store) -> MutationStep:
     A = pair.algebra
-    f, _ = minimal_left_approximation(X, rest)
+    f, _ = minimal_left_approximation(X, rest, _store=store)
     C, _ = cokernel(f)
     if C.dim_total == 0:
         # rest is tau-rigid with n - |support| - 1 indecomposable summands; two
@@ -190,18 +225,23 @@ def _exchange_down(pair: SttPair, X: Rep, rest: list[Rep], seed: int) -> Mutatio
         v = candidates[0]
         new_pair = SttPair(A, tuple(rest), tuple(sorted(pair.support + (v,))))
         return MutationStep(new_pair, X, None, v)
-    dec = decompose(C, seed=seed)
-    if len(dec.class_reps) != 1 or dec.multiplicities[0] != 1:
-        raise CertificationError(f"the exchange cokernel decomposed into "
-                                 f"{dec.multiplicities} copies instead of one "
-                                 f"indecomposable")
-    if any(_indec_iso(C, R) is not None for R in rest):
+    K = store.resolve(C)
+    if K in rest:
         raise CertificationError("the exchange cokernel is isomorphic to a "
                                  "remaining summand")
+    if K is None:
+        dec = decompose(C, seed=seed)
+        if len(dec.class_reps) != 1 or dec.multiplicities[0] != 1:
+            raise CertificationError(f"the exchange cokernel decomposed into "
+                                     f"{dec.multiplicities} copies instead of one "
+                                     f"indecomposable")
+        store.classes.setdefault(C.dims, []).append(C)
+    C = K or C   # a stored class goes on as its own object, tau memoised on it
     # tau commutes with direct sums, so the new blocks add up to the
     # dimension of Hom(M, tau M) for the whole new module
     tC = tau(C)
-    defect = hom_dim(C, tC) + sum(hom_dim(C, tau(R)) + hom_dim(R, tC) for R in rest)
+    defect = len(store.hom(C, tC)) + sum(len(store.hom(C, tau(R))) + len(store.hom(R, tC))
+                                         for R in rest)
     if defect:
         raise CertificationError(f"Hom(M, tau M) has dimension {defect}")
     return MutationStep(SttPair(A, tuple(rest) + (C,), pair.support), X, C, None)
@@ -225,15 +265,17 @@ class IsoRegistry:
         self._names: set[str] = set()
         for v in range(algebra.n_vertices):
             lab = algebra.quiver.vertices[v]
-            self._intern(projective(algebra, v), f"P({lab})")
-            self._intern(simple(algebra, v), f"S({lab})")
+            self._intern(projective(algebra, v), f"P({lab})", True)
+            self._intern(simple(algebra, v), f"S({lab})", True)
 
-    def _intern(self, rep: Rep, name: Optional[str]) -> str:
+    def _intern(self, rep: Rep, name: Optional[str], indecomposable: bool = False) -> str:
         """The name of rep's class; an unseen class is recorded under
-        ``name``, or under a fresh dimension-vector name when that is None."""
+        ``name``, or under a fresh dimension-vector name when that is None.
+        A certified indecomposable rep is matched by basis homs alone."""
         for rep0, name0 in self._entries:
-            if rep0.dims == rep.dims and \
-                    iso_test(rep, rep0, seed=self.seed).isomorphic:
+            if rep0.dims == rep.dims and (
+                    _indec_iso(rep, rep0) is not None if indecomposable
+                    else iso_test(rep, rep0, seed=self.seed).isomorphic):
                 return name0
         if name is None:
             base = "M(" + ",".join(str(d) for d in rep.dims) + ")"
@@ -247,8 +289,8 @@ class IsoRegistry:
         self._names.add(name)
         return name
 
-    def name_of(self, rep: Rep) -> str:
-        return self._intern(rep, None)
+    def name_of(self, rep: Rep, *, _indecomposable: bool = False) -> str:
+        return self._intern(rep, None, _indecomposable)
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +369,11 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
         raise InputError(f"--max-nodes must be at least 1, got {max_nodes}")
     if algebra.is_zero_algebra:
         raise InputError("cannot enumerate pairs over the zero algebra")
-    if registry is None:
-        registry = IsoRegistry(algebra, seed=seed)
     # valid by construction: each P(v) has local End, their tops differ, tau P(v) = 0
     projs = [projective(algebra, v) for v in range(algebra.n_vertices)]
-    root = SttPair(algebra, tuple(projs), ())
-    names, root = _sorted_pair(
-        [compact_label(registry.name_of(s)) for s in root.summands], root)
+    store = _ClassStore(projs, registry or IsoRegistry(algebra, seed=seed))
+    names, root = _sorted_pair([compact_label(store.name(s)) for s in projs],
+                               SttPair(algebra, tuple(projs), ()))
     root_key = pair_key(names)
     order: list[str] = [root_key]
     node_pairs: dict[str, tuple[SttPair, tuple[str, ...]]] = {root_key: (root, names)}
@@ -344,7 +384,7 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
         pair, names = node_pairs[key]
         for slot in range(len(pair.summands)):
             try:
-                step = mutate_down(pair, slot, seed=seed)
+                step = mutate_down(pair, slot, seed=seed, _store=store)
             except _UpOnlySlot:
                 continue   # mutating this slot goes up; the edge is found
                            # from the other endpoint
@@ -357,7 +397,7 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
                 lab = algebra.quiver.vertices[step.new_support_vertex]
                 added = compact_label(f"P({lab})")
             else:
-                added = compact_label(registry.name_of(step.added))
+                added = compact_label(store.name(step.added))
                 new_names += (added,)
             new_names, new_pair = _sorted_pair(new_names, step.pair)
             new_key = pair_key(new_names)

@@ -68,12 +68,13 @@ def _structure_algebras(built):
 def test_every_kind_of_algebra_is_seen(built):
     assert len(built["bound"]) > 90 and len(built["quotient"]) > 20
     # End(M) over A once at each of the 62 sincere nodes, and never over a
-    # quotient C, where it is the same algebra: 50 distinct algebras by
-    # name and table, and 41 distinct tables
+    # quotient C, where it is the same algebra: 51 distinct algebras by
+    # name and table, and 42 distinct tables.  The tables are read off the
+    # Hom bases of each summand class's canonical module.
     assert len(built["endo"]) == 62
     assert len({(e.summands[0].algebra.name, e.sa.table)
-                for e in built["endo"]}) == 50
-    assert len({e.sa.table for e in built["endo"]}) == 41
+                for e in built["endo"]}) == 51
+    assert len({e.sa.table for e in built["endo"]}) == 42
 
 
 def test_path_algebra_blocks_are_the_path_scan(built):

@@ -15,10 +15,10 @@ import pytest
 import taubound.mutation
 from taubound import CertificationError, InputError, parse_algebra_text
 from taubound.algebra import opposite
-from taubound.decompose import iso_test
+from taubound.decompose import _indec_iso, iso_test
 from taubound.cli import cli_run
 from taubound.linalg import Mat, Span
-from taubound.mutation import (IsoRegistry, SttPair, _certify_left_minimal,
+from taubound.mutation import (IsoRegistry, SttPair, _ClassStore, _certify_left_minimal,
                                compact_label, enumerate_stt, fac_contains,
                                minimal_left_approximation, mutate,
                                mutate_down, pair_key)
@@ -405,9 +405,9 @@ def test_enumeration_names_only_the_new_summands(corpus_algebras, monkeypatch):
     named, steps = [], []
     name_of, down = IsoRegistry.name_of, taubound.mutation.mutate_down
 
-    def counting_name_of(self, rep):
+    def counting_name_of(self, rep, **kwargs):
         named.append(rep)
-        return name_of(self, rep)
+        return name_of(self, rep, **kwargs)
 
     def counting_down(*args, **kwargs):
         step = down(*args, **kwargs)
@@ -581,9 +581,9 @@ def test_enumeration_tests_each_slot_for_fac_once(monkeypatch):
     calls = []
     fac = taubound.mutation.fac_contains
 
-    def counting(generators, X):
+    def counting(generators, X, *args, **kwargs):
         calls.append((frozenset(map(id, generators)), id(X)))
-        return fac(generators, X)
+        return fac(generators, X, *args, **kwargs)
 
     monkeypatch.setattr(taubound.mutation, "fac_contains", counting)
     g = enumerate_stt(parse_algebra_text(LINE4))
@@ -601,8 +601,8 @@ def test_mutate_down_refuses_an_up_only_slot(arrow_loop):
 
 
 def test_enumeration_presents_each_module_once(monkeypatch):
-    # tau is memoised on each summand, and summands travel through the BFS
-    # as the same objects; no direct sum is presented
+    # tau is memoised on each summand, and a cokernel isomorphic to a stored
+    # class continues as that class's object: one presentation per class
     presented, added = [], []
     tau_module = importlib.import_module("taubound.tau")   # not the function tau
     present, down = tau_module.minimal_presentation, taubound.mutation.mutate_down
@@ -618,11 +618,122 @@ def test_enumeration_presents_each_module_once(monkeypatch):
 
     monkeypatch.setattr(tau_module, "minimal_presentation", counting)
     monkeypatch.setattr(taubound.mutation, "mutate_down", recording_down)
-    g = enumerate_stt(parse_algebra_text(LINE4))
-    assert g.n_nodes == 42
-    assert len({id(M) for M in presented}) == len(presented)
-    summands = {id(X) for X in added} | {id(X) for n in g.nodes for X in n.pair.summands}
-    assert all(id(M) in summands for M in presented)
+    A = parse_algebra_text(LINE4)
+    exports = []
+    for _ in range(2):   # each enumeration has its own store: no state carries over
+        presented.clear()
+        added.clear()
+        g = enumerate_stt(A)
+        assert g.n_nodes == 42
+        summands = {id(X) for n in g.nodes for X in n.pair.summands}
+        assert {id(X) for X in added if X is not None} <= summands
+        assert len({name for n in g.nodes for name in n.summand_names}) == len(summands) == 10
+        assert sorted(map(id, presented)) == sorted(summands)
+        exports.append(export_graph_json(g))
+    assert exports[0] == exports[1]
+
+
+@pytest.mark.parametrize("name", ["line4", "preproj3", "nakayama3_4", "line3_q"])
+def test_each_class_is_presented_decomposed_and_named_once(name, monkeypatch):
+    calls = Counter()
+    tau_module = importlib.import_module("taubound.tau")
+    decompose_module = importlib.import_module("taubound.decompose")
+
+    def counting(module, attr):
+        fn = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counting(tau_module, "minimal_presentation")
+    counting(taubound.mutation, "decompose")
+    counting(decompose_module, "decompose")   # iso_test's own decompositions
+    counting(IsoRegistry, "name_of")
+    A = parse_algebra_text(LADDER[name])
+    g = enumerate_stt(A)
+    classes = len({lab for n in g.nodes for lab in n.summand_names})
+    new_classes = classes - A.n_vertices   # every P(v) is a summand of the root
+    assert calls["minimal_presentation"] == classes
+    assert calls["decompose"] <= new_classes
+    assert calls["name_of"] <= A.n_vertices + new_classes
+
+
+def _down_edge_graphs(corpus_algebras):
+    algebras = list(corpus_algebras.values()) + [parse_algebra_text(t) for t in LADDER.values()]
+    return [enumerate_stt(A) for A in algebras]
+
+
+def test_store_free_mutation_agrees_on_every_down_edge(corpus_algebras):
+    # the public mutate_down sees only the pair's own summands; its new
+    # summand is isomorphic to the class object the enumeration carried on
+    checked = 0
+    for g in _down_edge_graphs(corpus_algebras):
+        for e in g.edges:
+            src, dst = g.node(e.src), g.node(e.dst)
+            step = mutate_down(src.pair, src.summand_names.index(e.removed))
+            if step.added is None:
+                assert step.pair.support == dst.pair.support
+                continue
+            K = dst.pair.summands[dst.summand_names.index(e.added)]
+            assert step.added is not K
+            assert iso_test(step.added, K).isomorphic
+            checked += 1
+    assert checked == 102
+
+
+def test_resolve_returns_only_an_isomorphic_class(corpus_algebras, monkeypatch):
+    A = parse_algebra_text(LADDER["nakayama3_4"])
+    F = A.field
+
+    def uniserial(zero_arrow, scale=1):
+        # dims (1,1,1) on the 3-cycle with one arrow zero: a uniserial of length 3
+        return Rep(A, (1, 1, 1), tuple(
+            Mat.from_rows(F, [[F.zero if a == zero_arrow else F.of_int(scale)]])
+            for a in range(3)))
+
+    U = [uniserial(a) for a in range(3)]
+    assert not any(iso_test(X, Y).isomorphic for X, Y in itertools.combinations(U, 2))
+    U0, U1, U2 = U
+    store = _ClassStore([U0, U1])
+    assert store.resolve(U2) is None
+    for copy, K in ((uniserial(0, scale=5), U0), (uniserial(1, scale=7), U1)):
+        assert store.resolve(copy) is K and _indec_iso(copy, K) is not None
+
+    # every answer of every enumeration's store, checked by iso_test
+    resolve, answers = _ClassStore.resolve, Counter()
+
+    def checked(self, C):
+        stored = list(self.classes.get(C.dims, ()))
+        K = resolve(self, C)
+        answers[K is None] += 1
+        assert [iso_test(C, S).isomorphic for S in stored] == [S is K for S in stored]
+        return K
+
+    monkeypatch.setattr(_ClassStore, "resolve", checked)
+    _down_edge_graphs(corpus_algebras)
+    assert answers[True] and answers[False]
+
+
+def test_exchange_refusals_keep_their_messages(line3):
+    # pairs of pairwise non-isomorphic indecomposables that are not tau-rigid
+    A = line3
+    P2 = projective(A, 1)
+    assert P2.dims == (0, 1, 1)
+    with pytest.raises(CertificationError,
+                       match=r"^mutation of line3 at slot 0 \(summand \(0,0,1\)\) failed "
+                             r"certification: the exchange cokernel is isomorphic to a "
+                             r"remaining summand$"):
+        mutate_down(SttPair(A, (simple(A, 2), simple(A, 1), P2), ()), 0)
+    B = parse_algebra_text(LADDER["preproj3"])
+    names = {name: X for n in enumerate_stt(B).nodes
+             for name, X in zip(n.summand_names, n.pair.summands)}
+    with pytest.raises(CertificationError,
+                       match=r"^mutation of preproj3 at slot 0 \(summand \(0,1,0\)\) "
+                             r"failed certification: the exchange cokernel decomposed into "
+                             r"\(1, 1\) copies instead of one indecomposable$"):
+        mutate_down(SttPair(B, (simple(B, 1), names["M(1,1,1)"]), ()), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +762,7 @@ def test_a_budget_of_one_node_holds_only_the_root(line3):
 
 
 def test_a_failed_exchange_names_the_node_and_summand(line3, monkeypatch, capsys):
-    def failing(pair, X, rest, seed):
+    def failing(*args, **kwargs):
         raise CertificationError("injected failure")
 
     monkeypatch.setattr(taubound.mutation, "_exchange_down", failing)
