@@ -445,6 +445,35 @@ def opposite(algebra: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
 # Two-sided ideals
 
 
+def ideal_powers(sa: StructureAlgebra, vectors: Sequence[tuple]
+                 ) -> list[dict[tuple[int, int], list[tuple]]]:
+    """I, I^2, ... for the two-sided ideal I of ``sa`` spanned by ``vectors``,
+    each a basis per block (u, v), up to the first power that is zero or,
+    when I is not nilpotent, does not shrink.  I is spanned by its blocks
+    e_u x e_v, and I^(k+1) = I^k I multiplies only the blocks that chain."""
+    F = sa.field
+
+    def by_block(pairs) -> dict[tuple[int, int], list[tuple]]:
+        spans: dict[tuple[int, int], Span] = {}
+        for block, vec in pairs:
+            spans.setdefault(block, Span(F, sa.dim)).add(vec)
+        return {block: span.basis() for block, span in spans.items() if span.dim}
+
+    powers = [by_block((b, tuple(c if sa.block_of[i] == b else F.zero
+                                  for i, c in enumerate(x)))
+                       for x in vectors
+                       for b in {sa.block_of[i] for i, c in enumerate(x)
+                                 if not F.is_zero(c)})]
+    while powers[-1]:
+        nxt = by_block(((u, v), sa.mul(x, y)) for (u, w), xs in powers[-1].items()
+                       for (w2, v), ys in powers[0].items() if w2 == w
+                       for x in xs for y in ys)
+        if sum(map(len, nxt.values())) == sum(map(len, powers[-1].values())):
+            break
+        powers.append(nxt)
+    return powers
+
+
 class Ideal:
     """A two-sided ideal given by an echelonized basis of coefficient vectors."""
 
@@ -480,22 +509,12 @@ class Ideal:
     def contains(self, vec: Sequence) -> bool:
         return self._span.contains(tuple(vec))
 
-    def product(self, other: "Ideal") -> "Ideal":
-        A = self.algebra
-        prods = [A.mul(u, v) for u in self.basis_vectors() for v in other.basis_vectors()]
-        return Ideal(A, prods)
-
     def nilpotency_index(self) -> int:
         """Least r >= 1 with I^r = 0; the zero ideal gives 1."""
-        power = self
-        r = 1
-        while power.dim > 0:
-            nxt = power.product(self)
-            if nxt.dim == power.dim:
-                raise InputError("nilpotency_index: ideal is not nilpotent")
-            power = nxt
-            r += 1
-        return r
+        powers = ideal_powers(self.algebra, self.basis_vectors())
+        if powers[-1]:
+            raise InputError("nilpotency_index: ideal is not nilpotent")
+        return len(powers)
 
     def to_json_dict(self) -> dict:
         return {
@@ -541,40 +560,25 @@ def present_structure_as_bound_quiver(
     if sa.dim == 0:
         return construct_algebra(name, F, Quiver((), ()))
 
-    rad = Span(F, sa.dim)
-    for v in radical_vectors:
-        rad.add(tuple(v))
-
     # nilpotency index of the radical; also bounds the relation degrees
-    powers = [rad.basis()]
-    while powers[-1]:
-        nxt_span = Span(F, sa.dim)
-        for u in powers[-1]:
-            for v in powers[0]:
-                nxt_span.add(sa.mul(u, v))
-        nxt = nxt_span.basis()
-        if len(nxt) == len(powers[-1]):
-            raise CertificationError("presentation: supplied radical is not nilpotent")
-        powers.append(nxt)
+    powers = ideal_powers(sa, radical_vectors)
+    if powers[-1]:
+        raise CertificationError("presentation: supplied radical is not nilpotent")
     ll = len(powers)  # rad^ll = 0
 
     chosen: list[tuple[str, int, int, tuple]] = []
     chosen_span = Span(F, sa.dim)
-    for r in (powers[1] if len(powers) > 1 else []):
-        chosen_span.add(r)
+    for vecs in (powers[1].values() if ll > 1 else ()):
+        for r in vecs:
+            chosen_span.add(r)
     gen_counter = 0
     preferred_by_block: dict[tuple[int, int], list] = {}
     for label, u, v, vec in preferred_arrows:
         preferred_by_block.setdefault((u, v), []).append((label, tuple(vec)))
     for u in range(nv):
         for v in range(nv):
-            candidates = list(preferred_by_block.get((u, v), []))
-            for r in rad.basis():
-                # e_u r e_v: the coordinates of r tagged (u, v)
-                proj = tuple(c if sa.block_of[i] == (u, v) else F.zero
-                             for i, c in enumerate(r))
-                if not sa.is_zero_vec(proj):
-                    candidates.append((None, proj))
+            candidates = (preferred_by_block.get((u, v), [])
+                          + [(None, r) for r in powers[0].get((u, v), [])])
             for label, vec in candidates:
                 if chosen_span.add(vec):
                     if label is None:

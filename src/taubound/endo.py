@@ -8,15 +8,21 @@ diagonal blocks are the designated orthogonal idempotents.  With that
 convention e_u B e_v corresponds to the paths u -> v of the presented
 quiver, matching the path-algebra convention: presenting End of the free
 module recovers the original quiver with the same orientation.
+
+An estimate of a basic B = kQ/I, I admissible, needs no presentation: B is
+semisimple iff dim B = n; Q has dim e_u(rad B)e_v - dim e_u(rad^2 B)e_v
+arrows u -> v; on a Dynkin Q, I = 0 iff dim B is the number of paths of Q;
+and the Loewy length is the length of the chain of radical powers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
-from .algebra import (BoundQuiverAlgebra, Quiver, StructureAlgebra,
-                      loewy_length, present_structure_as_bound_quiver)
+from .algebra import (Arrow, BoundQuiverAlgebra, Quiver, StructureAlgebra,
+                      ideal_powers, loewy_length,
+                      present_structure_as_bound_quiver)
 from .decompose import _local_or_split, iso_test
 from .exceptions import CertificationError, InputError
 from .linalg import Span, coordinates, unit_vector
@@ -30,6 +36,8 @@ class EndoAlgebra:
     summands: tuple[Rep, ...]
     basis_maps: tuple[ModMap, ...]
     diag_offsets: tuple[int, ...]          # position of id_{T_u} in the basis
+    # per summand, the λ_b of its other diagonal basis elements, when known
+    lams: Optional[tuple[Optional[list], ...]] = None
 
     @property
     def dim(self) -> int:
@@ -37,7 +45,10 @@ class EndoAlgebra:
 
 
 def endo_algebra(summands: Sequence[Rep],
-                 labels: Optional[Sequence[str]] = None) -> EndoAlgebra:
+                 labels: Optional[Sequence[str]] = None, *,
+                 _store=None) -> EndoAlgebra:
+    """With an enumeration's class store ``_store``, the summands are its
+    classes, distinct by its certificate, with their stored Homs and λ_b."""
     t = len(summands)
     if t == 0:
         raise InputError("endo_algebra: empty summand list")
@@ -47,30 +58,33 @@ def endo_algebra(summands: Sequence[Rep],
             raise InputError(f"endo_algebra: summands over {A.name} and {s.algebra.name}")
     F = A.field
     # the presentation below reads off local blocks, so repeats are rejected
-    for u in range(t):
+    for u in range(t if _store is None else 0):
         for v in range(u + 1, t):
             if summands[u].dims == summands[v].dims and \
                     iso_test(summands[u], summands[v]).isomorphic:
                 raise InputError("summands must be pairwise non-isomorphic")
     labels = tuple(labels) if labels is not None else tuple(str(k + 1) for k in range(t))
+    hom = hom_basis if _store is None else _store.hom
 
     basis_maps: list[ModMap] = []
     block_of: list[tuple[int, int]] = []
     block_range: dict[tuple[int, int], tuple[int, int]] = {}
     diag_offsets = [0] * t
+    lams: list[Optional[list]] = []
     for u in range(t):
         for v in range(t):
-            homs = hom_basis(summands[v], summands[u])
+            homs = hom(summands[v], summands[u])
             if u == v:
                 ident = identity_map(summands[u])
                 span = Span(F, len(ident.vectorize()) or 1)
-                keep = [ident]
+                kept = []
                 if ident.vectorize():
                     span.add(ident.vectorize())
-                    for h in homs:
-                        if span.add(h.vectorize()):
-                            keep.append(h)
-                homs = keep
+                    kept = [c for c, h in enumerate(homs) if span.add(h.vectorize())]
+                if _store is not None:
+                    lam = _store.lams(summands[u])
+                    lams.append(None if lam is None else [lam[c] for c in kept])
+                homs = [ident] + [homs[c] for c in kept]
                 diag_offsets[u] = len(basis_maps)
             start = len(basis_maps)
             basis_maps.extend(homs)
@@ -98,26 +112,25 @@ def endo_algebra(summands: Sequence[Rep],
     idempotents = [unit_vector(F, dim, diag_offsets[u]) for u in range(t)]
     sa = StructureAlgebra(F, tuple(tuple(row) for row in table), idempotents,
                           labels, block_of)
-    return EndoAlgebra(sa, tuple(summands), tuple(basis_maps), tuple(diag_offsets))
+    return EndoAlgebra(sa, tuple(summands), tuple(basis_maps), tuple(diag_offsets),
+                       None if _store is None else tuple(lams))
 
 
-def quiver_presentation(endo: EndoAlgebra, name: str = "End") -> BoundQuiverAlgebra:
-    """Present the endomorphism algebra by quiver and relations.
-
-    The radical is assembled structurally: all off-diagonal blocks plus the
+def _radical_vectors(endo: EndoAlgebra) -> list[tuple]:
+    """The radical, assembled structurally: all off-diagonal blocks plus the
     radical of each local algebra End(T_u), spanned by the b - λ_b*id for
-    the basis elements b of its block, certified nilpotent by their action
-    on T_u.  Each End(T_u)/rad must be one-dimensional (the summand is
-    indecomposable with split endomorphism ring); otherwise certification
-    fails.
-    """
+    the other basis elements b of its block, certified nilpotent by their
+    action on T_u.  Each End(T_u)/rad must be one-dimensional (the summand
+    is indecomposable with split endomorphism ring); otherwise
+    certification fails."""
     sa = endo.sa
     F = sa.field
     rad_vectors = [sa.unit_vec(i) for i, (u, v) in enumerate(sa.block_of) if u != v]
     for u, T in enumerate(endo.summands):
         ident = endo.diag_offsets[u]
         idx = [i for i in sa.block(u, u) if i != ident]
-        _, lams = _local_or_split(T, [endo.basis_maps[i] for i in idx])
+        lams = (_local_or_split(T, [endo.basis_maps[i] for i in idx])[1]
+                if endo.lams is None else endo.lams[u])
         if lams is None:
             raise CertificationError(
                 f"non-split block: End(T) of summand {sa.vertex_labels[u]} is "
@@ -127,7 +140,24 @@ def quiver_presentation(endo: EndoAlgebra, name: str = "End") -> BoundQuiverAlge
             out = list(sa.unit_vec(i))
             out[ident] = F.neg(lam)
             rad_vectors.append(tuple(out))
-    return present_structure_as_bound_quiver(sa, name, rad_vectors)
+    return rad_vectors
+
+
+def quiver_presentation(endo: EndoAlgebra, name: str = "End") -> BoundQuiverAlgebra:
+    """Present the endomorphism algebra by quiver and relations."""
+    return present_structure_as_bound_quiver(endo.sa, name, _radical_vectors(endo))
+
+
+def endo_estimate(endo: EndoAlgebra, name: str,
+                  registry: Optional[DerdimRegistry] = None) -> DerdimEstimate:
+    """derdim_estimate(quiver_presentation(endo, name), registry), read off
+    the radical layers of the structure table."""
+    powers = ideal_powers(endo.sa, _radical_vectors(endo))   # rad, rad^2, ..., 0
+    square = powers[1] if len(powers) > 1 else {}
+    arrows = [b for b, vecs in powers[0].items()
+              for _ in range(len(vecs) - len(square.get(b, ())))]
+    return estimate_from_layers(name, endo.dim, endo.sa.n_vertices, arrows,
+                                lambda: len(powers), registry)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +170,15 @@ def is_hereditary(B: BoundQuiverAlgebra) -> bool:
     Skowronski, Vol. 1, 2006, VII.1), and every listed relation is a
     nonzero element of kQ."""
     return not B.relations
+
+
+def _path_count(quiver: Quiver) -> int:
+    """The number of paths of a quiver whose underlying graph is a forest."""
+    count, ends = 0, list(range(quiver.n_vertices))
+    while ends:
+        count += len(ends)
+        ends = [a.target for v in ends for a in quiver.arrows if a.source == v]
+    return count
 
 
 def dynkin_type(quiver: Quiver) -> Optional[str]:
@@ -229,23 +268,36 @@ class DerdimEstimate:
 DerdimRegistry = Mapping[str, tuple[str, int]]
 
 
+def estimate_from_layers(name: str, dim: int, n_vertices: int,
+                         arrows: Sequence[tuple[int, int]], loewy: Callable[[], int],
+                         registry: Optional[DerdimRegistry] = None) -> DerdimEstimate:
+    """derdim_estimate of a basic algebra kQ/I, I admissible, from its name,
+    dim, vertex count, the (source, target) of each arrow of Q, and a thunk
+    for its Loewy length (module docstring)."""
+    entry = (registry or {}).get(name)
+    if entry is not None and entry[0] == "exact":
+        return DerdimEstimate(entry[1], "exact", "registry")
+    if dim == n_vertices:
+        return DerdimEstimate(0, "exact", "rule:semisimple")
+    quiver = Quiver(tuple(f"v{u}" for u in range(n_vertices)),
+                    tuple(Arrow(f"a{k}", u, v) for k, (u, v) in enumerate(arrows)))
+    if dynkin_type(quiver) is not None and dim == _path_count(quiver):
+        return DerdimEstimate(0, "exact", "rule:hereditary-dynkin")
+    candidates = [DerdimEstimate(loewy() - 1, "upper", "loewy-bound")]
+    if entry is not None:
+        candidates.append(DerdimEstimate(entry[1], "upper", "registry"))
+    candidates.sort(key=lambda e: (e.value, 0 if e.provenance == "registry" else 1))
+    return candidates[0]
+
+
 def derdim_estimate(B: BoundQuiverAlgebra,
                     registry: Optional[DerdimRegistry] = None) -> DerdimEstimate:
     """Best available estimate of the derived (Rouquier) dimension of mod B."""
     if B.is_zero_algebra:
         raise InputError("derdim_estimate: the zero algebra has no estimate")
-    entry = (registry or {}).get(B.name)
-    if entry is not None and entry[0] == "exact":
-        return DerdimEstimate(entry[1], "exact", "registry")
-    if B.dim == B.n_vertices:
-        return DerdimEstimate(0, "exact", "rule:semisimple")
-    if dynkin_type(B.quiver) is not None and is_hereditary(B):
-        return DerdimEstimate(0, "exact", "rule:hereditary-dynkin")
-    candidates = [DerdimEstimate(loewy_length(B) - 1, "upper", "loewy-bound")]
-    if entry is not None:
-        candidates.append(DerdimEstimate(entry[1], "upper", "registry"))
-    candidates.sort(key=lambda e: (e.value, 0 if e.provenance == "registry" else 1))
-    return candidates[0]
+    return estimate_from_layers(B.name, B.dim, B.n_vertices,
+                                [(a.source, a.target) for a in B.quiver.arrows],
+                                lambda: loewy_length(B), registry)
 
 
 def merge_estimates(a: DerdimEstimate, b: DerdimEstimate) -> DerdimEstimate:

@@ -36,7 +36,7 @@ remaining summand.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .algebra import BoundQuiverAlgebra, opposite
@@ -318,6 +318,8 @@ class ExchangeGraph:
     algebra: BoundQuiverAlgebra
     nodes: tuple[GraphNode, ...]
     edges: tuple[GraphEdge, ...]
+    # the enumeration's class store, for the reports on its nodes
+    _store: Optional[_ClassStore] = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -419,7 +421,7 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
         pair, names = node_pairs[key]
         cls = _classify_valid_pair(algebra, pair.summands, pair.support)
         nodes.append(GraphNode(key, pair, names, cls))
-    return ExchangeGraph(algebra, tuple(nodes), tuple(edges))
+    return ExchangeGraph(algebra, tuple(nodes), tuple(edges), store)
 
 
 def mutate(pair: SttPair, slot: int, seed: int = 0) -> SttPair:

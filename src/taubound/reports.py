@@ -12,9 +12,15 @@ Exact values are rarely available, so both sides are tracked as estimates
   A and B themselves are derived equivalent: their estimates merge, on
   the certificates that classified the pair.
 * Otherwise M is a tilting module over the proper quotient C = A / ann(M),
-  re-checked by validating and classifying its summands as a pair over C;
-  estimates for C then transfer to B.  End(M) is built once, over A.
+  again on the pair's own certificates (Adachi-Iyama-Reiten, *tau-tilting
+  theory*, 2014): M is tau_C-rigid as it is tau_A-rigid (Lemma 2.1), with
+  n summands over C, which has A's n vertices (Hom_C = Hom_A), so M is
+  tilting over C (Prop. 2.2); estimates for C then transfer to B.
 
+B and C are estimated off their radical layers, not presented (``endo``):
+C = A/ann has dim A - dim ann, the arrows u -> v of C number
+dim e_u(rad A)e_v - dim e_u(rad^2 A + ann)e_v, where rad^2 A is the span of
+the basis paths of length >= 2, and LL(C) = LL(M), as M is faithful over C.
 C is estimated without the registry, as every annihilator quotient is
 named ``A/I``.  A report never silently repairs an inconsistency: two
 estimates of one quantity that contradict each other raise InputError
@@ -27,14 +33,16 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import (BoundQuiverAlgebra, Quiver, construct_algebra,
+from .algebra import (BoundQuiverAlgebra, Ideal, Quiver, construct_algebra,
                       factor_algebra, loewy_length)
 from .endo import (DerdimEstimate, DerdimRegistry, derdim_estimate,
-                   endo_algebra, merge_estimates, quiver_presentation)
+                   endo_algebra, endo_estimate, estimate_from_layers,
+                   merge_estimates)
 from .exceptions import CertificationError, InputError
+from .linalg import Span, unit_vector
 from .mutation import (ExchangeGraph, GraphNode, IsoRegistry, _sorted_pair,
                        compact_label, enumerate_stt, pair_key)
-from .reps import (Rep, annihilator, direct_sum, ext1_dim,
+from .reps import (Rep, annihilator, annihilator_dim, direct_sum, ext1_dim,
                    projective_dimension, restrict_to_quotient)
 from .tau import SttPair, _classify_valid_pair, validate_stt_pair
 
@@ -190,33 +198,33 @@ def derdim_bound_report(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
     lhs = (None if classification in ("zero", "proper-support")
            else derdim_estimate(algebra, registry))
     return _node_report(GraphNode(pair_key(names), pair, names, classification),
-                        registry, loewy_length(algebra) - 1, lhs, seed)
+                        registry, loewy_length(algebra) - 1, lhs)
 
 
 def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
                  loewy_rhs: int, lhs: Optional[DerdimEstimate],
-                 seed: int) -> BoundReport:
+                 store=None) -> BoundReport:
     """The report on a pair that is already validated, named (summands in
     name order) and classified; ``loewy_rhs`` is Loewy length minus one,
     ``lhs`` the estimate of derdim(A), None when the pair is inapplicable,
-    and ``seed`` drives the decompositions of the re-check over A/ann(M)."""
+    and ``store`` the class store of the enumeration that reached the node."""
     algebra, key, classification = node.pair.algebra, node.key, node.classification
     summands, names = list(node.pair.summands), list(node.summand_names)
 
     if classification in ("zero", "proper-support"):
         return BoundReport(algebra.name, key, classification, False,
-                           annihilator(direct_sum(algebra, summands).rep).dim,
+                           annihilator_dim(direct_sum(algebra, summands).rep),
                            None, None, None, None, None, None, loewy_rhs,
                            "inapplicable",
                            ("the annihilator contains idempotents: the bound "
                             "addresses tau-tilting modules",))
 
-    endo = endo_algebra(summands, labels=names)
-    B = quiver_presentation(endo, name=f"End[{algebra.name}:{key}]")
-    d_b = derdim_estimate(B, registry)
+    endo = endo_algebra(summands, labels=names, _store=store)
+    b_name = f"End[{algebra.name}:{key}]"
+    d_b = endo_estimate(endo, b_name, registry)
     where = f"pair {key} of {algebra.name}"
     # the registry entries that an estimate rests on
-    b_entries = {B.name} if d_b.provenance == "registry" else set()
+    b_entries = {b_name} if d_b.provenance == "registry" else set()
     entries = b_entries | ({algebra.name} if lhs.provenance == "registry" else set())
 
     if classification == "tilting":
@@ -227,31 +235,23 @@ def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
         d_b, lhs = (_merge_at(where, entries, d_b, DerdimEstimate(
                         lhs.value, lhs.kind, f"derived-equivalence:{algebra.name}")),
                     _merge_at(where, entries, lhs, DerdimEstimate(
-                        d_b.value, d_b.kind, f"derived-equivalence:{B.name}")))
+                        d_b.value, d_b.kind, f"derived-equivalence:{b_name}")))
         notes = ["annihilator has dimension 0, nilpotency index 1",
                  f"tilting over {algebra.name} certified; estimates merged",
                  "faithful pair: the algebra and its endomorphism "
                  "algebra exchange estimates"]
     else:
-        # M is tilting over the proper quotient C = A/ann(M) (AIR Prop. 2.2):
-        # a valid pair over C with pd <= 1, so Ext^1_C(M, M) ~= D Hom_C(M,
-        # tau_C M) = 0.  Estimates then transfer along the equivalence C ~ B
-        ann = annihilator(direct_sum(algebra, summands).rep)
-        C = factor_algebra(algebra, ann)
+        # M is tilting over C = A/ann(M) (module docstring): estimates
+        # transfer along the derived equivalence C ~ B
+        M = direct_sum(algebra, summands).rep
+        ann = annihilator(M)
         ann_dim, r = ann.dim, ann.nilpotency_index()
-        notes = [f"annihilator has dimension {ann_dim}, nilpotency index {r}"]
-        parts = [restrict_to_quotient(s, C) for s in summands]
-        val = validate_stt_pair(C, parts, (), seed=seed)
-        failed = list(val.reasons)
-        if val.ok and _classify_valid_pair(C, parts, ()) != "tilting":
-            failed.append(f"a summand has projective dimension > 1 over {C.name}")
-        if not failed:
-            est_c = derdim_estimate(C)
-            d_b = _merge_at(where, b_entries, d_b, DerdimEstimate(
-                est_c.value, est_c.kind, f"derived-equivalence:{C.name}"))
-            notes.append(f"tilting over {C.name} certified; estimates merged")
-        else:
-            notes.append("quotient tilting re-check failed: " + "; ".join(failed))
+        c_name = f"{algebra.name}/I"
+        est_c = _quotient_estimate(c_name, M, ann)
+        d_b = _merge_at(where, b_entries, d_b, DerdimEstimate(
+            est_c.value, est_c.kind, f"derived-equivalence:{c_name}"))
+        notes = [f"annihilator has dimension {ann_dim}, nilpotency index {r}",
+                 f"tilting over {c_name} certified; estimates merged"]
 
     rhs_value = r * (1 + d_b.value) - 1
     rhs_kind = d_b.kind
@@ -284,15 +284,45 @@ def _merge_at(where: str, entries: set[str], a: DerdimEstimate,
         raise CertificationError(f"report on {where}: {e}") from None
 
 
+def _quotient_estimate(name: str, M: Rep, ann: Ideal) -> DerdimEstimate:
+    """The estimate of C = A/ann for a sincere M (module docstring): ann
+    lies in rad A, so C keeps as many of A's arrows u -> v as ann misses."""
+    A = M.algebra
+    arrows = [(a.source, a.target) for a in A.quiver.arrows]
+    kept = []
+    for block in set(arrows):
+        ks = [A.arrow_basis_index[k] for k, b in enumerate(arrows) if b == block]
+        span = Span(A.field, len(ks))
+        for x in ann.basis_vectors():
+            span.add([x[i] for i in ks])
+        kept += [block] * (len(ks) - span.dim)
+    return estimate_from_layers(name, A.dim - ann.dim, A.n_vertices, kept,
+                                lambda: _loewy_length(M))
+
+
+def _loewy_length(M: Rep) -> int:
+    """The least k with M rad^k = 0: M, pushed along the arrows k times."""
+    F, k = M.algebra.field, 0
+    layer = [[unit_vector(F, d, i) for i in range(d)] for d in M.dims]
+    while any(layer):
+        spans = [Span(F, d) for d in M.dims]
+        for a, mat in zip(M.algebra.quiver.arrows, M.maps):
+            for x in layer[a.source]:
+                spans[a.target].add(mat.apply(x))
+        layer, k = [span.basis() for span in spans], k + 1
+    return k
+
+
 def graph_reports(algebra: BoundQuiverAlgebra,
                   registry: Optional[DerdimRegistry] = None,
                   seed: int = 0, max_nodes: int = 4096):
     """Enumerate the exchange graph and report on every node; the nodes
-    come validated, named and classified."""
+    come validated, named and classified, their summands the class objects
+    of the enumeration's class store."""
     graph = enumerate_stt(algebra, max_nodes=max_nodes, seed=seed)
     loewy_rhs = loewy_length(algebra) - 1
     lhs = derdim_estimate(algebra, registry)
-    reports = [_node_report(node, registry, loewy_rhs, lhs, seed)
+    reports = [_node_report(node, registry, loewy_rhs, lhs, graph._store)
                for node in graph.nodes]
     return graph, reports
 

@@ -568,8 +568,9 @@ def global_dimension(algebra: BoundQuiverAlgebra, cap: int = 16) -> Optional[int
 # Annihilators and transport along quotients
 
 
-def annihilator(M: Rep) -> Ideal:
-    """The two-sided ideal of algebra elements acting as zero on M."""
+def _action_matrix(M: Rep) -> Mat:
+    """One column per basis element b of the algebra: the entries of the
+    matrix by which b acts on M, block by block."""
     A = M.algebra
     F = A.field
     offsets = {}
@@ -585,8 +586,17 @@ def annihilator(M: Rep) -> Ideal:
         for r in range(act.nrows):
             for c in range(act.ncols):
                 rows[base + r * act.ncols + c][b] = act.entry(r, c)
-    mat = Mat(F, total, A.dim, rows)
-    return Ideal(A, nullspace(mat))
+    return Mat(F, total, A.dim, rows)
+
+
+def annihilator(M: Rep) -> Ideal:
+    """The two-sided ideal of algebra elements acting as zero on M."""
+    return Ideal(M.algebra, nullspace(_action_matrix(M)))
+
+
+def annihilator_dim(M: Rep) -> int:
+    """dim annihilator(M), by rank and nullity, with no basis built."""
+    return M.algebra.dim - rank(_action_matrix(M))
 
 
 def is_faithful(M: Rep) -> bool:

@@ -1,10 +1,12 @@
-"""Block tags and heredity, over every algebra that ``graph_reports`` builds.
+"""Block tags and heredity, over every algebra that ``graph_reports`` builds
+or estimates.
 
 Each basis element of a structure-constant algebra carries its block (u, v),
 certified on construction as b = e_u b e_v.  The tags replace path scans,
 the endomorphism algebra's own block list, and two products per candidate
-when arrows are chosen.  Heredity is read off the relations.  The oracles
-here are the computations they replace.
+when arrows are chosen.  A presented algebra's heredity is read off its
+relations; an estimate reads it off the dimension and the paths of a
+Dynkin quiver.  The oracles here are the computations they replace.
 """
 
 import pytest
@@ -15,10 +17,10 @@ import taubound.reports
 import taubound.reps
 from conftest import perfbench_algebras
 from taubound import CertificationError, parse_algebra_text
-from taubound.algebra import BoundQuiverAlgebra, StructureAlgebra
-from taubound.endo import is_hereditary
+from taubound.algebra import BoundQuiverAlgebra, StructureAlgebra, factor_algebra
+from taubound.endo import is_hereditary, quiver_presentation
 from taubound.reports import graph_reports
-from taubound.reps import projective_dimension, simple
+from taubound.reps import annihilator, direct_sum, projective_dimension, simple
 
 # StructureAlgebra.mul calls in graph_reports(line4) before the tags
 PARENT_LINE4_MULS = 2387
@@ -28,7 +30,10 @@ PARENT_LINE4_MULS = 2387
 def built(corpus_algebras):
     """Every A, B = End(M) and C = A/ann M of the corpus and ladder graphs:
     the bound quiver algebras, the endomorphism algebras, and each quotient
-    as (A, structure algebra, survivor positions)."""
+    as (A, structure algebra, survivor positions).  Reports read B and C off
+    their radical layers, so each B and C is presented here by the route
+    the reports' oracle takes: ``quiver_presentation`` of the End(M) that
+    the report built, and ``factor_algebra`` by the annihilator."""
     bench = perfbench_algebras()
     algebras = list(corpus_algebras.values()) + [
         parse_algebra_text(text) for _, text, _ in bench.LADDER_FP + bench.LADDER_Q]
@@ -56,7 +61,13 @@ def built(corpus_algebras):
         mp.setattr(taubound.algebra, "quotient_structure", quotienting)
         mp.setattr(taubound.reports, "endo_algebra", endo)
         for A in algebras:
-            graph_reports(A)
+            graph, _ = graph_reports(A)
+            for node in graph.nodes:
+                if node.classification == "tau-tilting-not-tilting":
+                    M = direct_sum(A, list(node.pair.summands)).rep
+                    factor_algebra(A, annihilator(M))
+        for e in out["endo"]:
+            quiver_presentation(e)
     return out
 
 
@@ -151,12 +162,14 @@ def test_heredity_from_the_relations_agrees_with_the_simples(built):
 
 
 def test_line4_reports_resolve_no_simple_and_make_fewer_products(monkeypatch):
+    # heredity is decided in the estimate core, from the quiver and the
+    # dimension, for A and for every B = End(M)
     A = parse_algebra_text(perfbench_algebras().line_text("line4", 4, "Fp 32003"))
     calls = {"mul": 0, "hereditary": 0, "cover_in_hereditary": 0}
     inside = []
     mul = StructureAlgebra.mul
     cover = taubound.reps.projective_cover
-    hereditary = taubound.endo.is_hereditary
+    core = taubound.endo.estimate_from_layers
 
     def counting_mul(self, u, v):
         calls["mul"] += 1
@@ -166,17 +179,17 @@ def test_line4_reports_resolve_no_simple_and_make_fewer_products(monkeypatch):
         calls["cover_in_hereditary"] += bool(inside)
         return cover(M)
 
-    def tracking(B):
+    def tracking(*args, **kwargs):
         calls["hereditary"] += 1
-        inside.append(B)
+        inside.append(args)
         try:
-            return hereditary(B)
+            return core(*args, **kwargs)
         finally:
             inside.pop()
 
     monkeypatch.setattr(StructureAlgebra, "mul", counting_mul)
     monkeypatch.setattr(taubound.reps, "projective_cover", counting_cover)
-    monkeypatch.setattr(taubound.endo, "is_hereditary", tracking)
+    monkeypatch.setattr(taubound.endo, "estimate_from_layers", tracking)
     graph_reports(A)
     assert calls["hereditary"] > 0
     assert calls["cover_in_hereditary"] == 0

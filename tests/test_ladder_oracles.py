@@ -8,8 +8,12 @@
   stays here as their oracle.
 * Every non-faithful sincere node passes the same re-check over
   C = A/ann M (pd, Ext^1 and End over C, computed afresh on the direct
-  sum), and the reports' own re-check, pair validation and classification
-  over C, agrees with it.
+  sum), and pair validation and classification over C agree with it.
+  Reports take "M is tilting over C" from the pair's own certificates
+  (AIR Lemma 2.1, Prop. 2.2), so both re-checks stay here as its oracles.
+* Reports estimate B = End(M) and C off radical layers; presenting each by
+  quiver and relations and estimating that gives the same estimates,
+  quivers and Loewy lengths.
 * The lattice shape of each exchange graph.  The graph is the Hasse quiver
   of the lattice of torsion classes, whose join-irreducibles (one
   down-arrow) and meet-irreducibles (one up-arrow) are both in bijection
@@ -31,9 +35,13 @@ import os
 import pytest
 
 from conftest import perfbench_algebras
-from taubound import (derdim_bound_report, direct_sum, enumerate_stt,
-                      export_graph_json, factor_algebra, graph_reports,
-                      is_faithful, parse_algebra_text, tilting_proxy_check)
+import taubound.endo
+import taubound.reports
+from taubound import (derdim_bound_report, derdim_estimate, direct_sum,
+                      endo_algebra, enumerate_stt, export_graph_json,
+                      factor_algebra, graph_reports, is_faithful, loewy_length,
+                      parse_algebra_text, quiver_presentation,
+                      tilting_proxy_check)
 from taubound.reps import annihilator, restrict_to_quotient
 from taubound.reports import canonical_json
 from taubound.tau import _classify_valid_pair, tau_data, validate_stt_pair
@@ -154,8 +162,8 @@ def test_non_faithful_nodes_pass_both_tilting_rechecks_over_the_quotient(
             assert rep.ext1 == 0
             assert rep.presentations_match is True
             assert rep.endo_dim_ambient == rep.endo_dim_quotient == report.endo_dim
-            # the reports' re-check: a valid pair over C whose summands
-            # have pd <= 1, from each summand restricted to C
+            # validation and classification over C: a valid pair whose
+            # summands, each restricted to C, have pd <= 1
             C = factor_algebra(A, annihilator(direct_sum(A, summands).rep))
             parts = [restrict_to_quotient(s, C) for s in summands]
             assert validate_stt_pair(C, parts, (), seed=0).ok, (name, node.key)
@@ -164,6 +172,55 @@ def test_non_faithful_nodes_pass_both_tilting_rechecks_over_the_quotient(
             checked += 1
     # 1 in the corpus graphs and 30 in the ladder graphs
     assert checked == 1 + 30
+
+
+def test_layer_estimates_match_the_presentation_route(corpus_algebras, monkeypatch):
+    # reports read the estimates of B = End(M) and C = A/ann M off radical
+    # layers; here each B and C is presented by quiver and relations and
+    # estimated as a bound quiver algebra, and the quivers and Loewy
+    # lengths are compared as well as the estimates
+    core = taubound.endo.estimate_from_layers
+    seen = []
+
+    def recording(name, dim, n_vertices, arrows, loewy, registry=None):
+        estimate = core(name, dim, n_vertices, arrows, loewy, registry)
+        seen.append((name, arrows, loewy, estimate))
+        return estimate
+
+    monkeypatch.setattr(taubound.endo, "estimate_from_layers", recording)
+    monkeypatch.setattr(taubound.reports, "estimate_from_layers", recording)
+    algebras = list(corpus_algebras.values()) + [
+        parse_algebra_text(text, path=name)
+        for name, text in [(name, text) for name, text, _ in LADDER] + LARGER]
+    checked = {"B": 0, "C": 0}
+    provenances = set()
+    for A in algebras:
+        seen.clear()
+        graph, _ = graph_reports(A)
+        calls = iter(seen[1:])   # the first estimates A itself
+        for node in graph.nodes:
+            if node.classification not in ("tilting", "tau-tilting-not-tilting"):
+                continue
+            summands = list(node.pair.summands)
+            endo = endo_algebra(summands, labels=list(node.summand_names))
+            oracles = [("B", quiver_presentation(endo, name=f"End[{A.name}:{node.key}]"))]
+            if node.classification == "tau-tilting-not-tilting":
+                oracles.append(("C", factor_algebra(
+                    A, annihilator(direct_sum(A, summands).rep))))
+            for kind, X in oracles:
+                name, arrows, loewy, estimate = next(calls)
+                assert name == X.name, (A.name, node.key)
+                assert estimate == derdim_estimate(X), (A.name, node.key, kind)
+                assert sorted(arrows) == sorted((a.source, a.target)
+                                                for a in X.quiver.arrows), \
+                    (A.name, node.key, kind)
+                assert loewy() == loewy_length(X), (A.name, node.key, kind)
+                provenances.add(estimate.provenance)
+                checked[kind] += 1
+        assert next(calls, None) is None, A.name
+    # the sincere nodes, and the non-faithful ones among them
+    assert checked == {"B": 139, "C": 65}
+    assert provenances == {"rule:semisimple", "rule:hereditary-dynkin", "loewy-bound"}
 
 
 def _irreducible_counts(keys, edges):

@@ -1,8 +1,10 @@
-"""Bound verification reports, the quotient tilting re-check, and the
-graph exports.
+"""Bound verification reports, the quotient tilting re-check as their
+oracle, and the graph exports.
 """
 
+import importlib
 import json
+import sys
 
 import pytest
 
@@ -10,7 +12,7 @@ import taubound.algebra
 import taubound.reports
 from conftest import perfbench_algebras
 from taubound import CertificationError, InputError, parse_algebra_text
-from taubound.algebra import loewy_length
+from taubound.algebra import factor_algebra, loewy_length
 from taubound.decompose import decompose
 from taubound.endo import DerdimEstimate, derdim_estimate, endo_algebra
 from taubound.mutation import enumerate_stt
@@ -18,9 +20,9 @@ from taubound.reports import (canonical_json, derdim_bound_report,
                               export_graph_dot, export_graph_json,
                               graph_reports, quotient_by_annihilator,
                               tilting_proxy_check)
-from taubound.reps import (direct_sum, projective, restrict_to_quotient, simple,
-                           zero_rep)
-from taubound.tau import classify_pair
+from taubound.reps import (annihilator, annihilator_dim, direct_sum, projective,
+                           restrict_to_quotient, simple, zero_rep)
+from taubound.tau import _classify_valid_pair, classify_pair, validate_stt_pair
 
 
 REG = {"arrow_loop": ("exact", 1), "line2": ("exact", 0),
@@ -163,52 +165,57 @@ def test_changed_end_over_the_quotient_fails_the_recheck(arrow_loop, monkeypatch
     assert "endomorphism algebra changed under the quotient transport" in rep.notes
 
 
-def _report_with(monkeypatch, name, wrong):
-    """The report on arrow_loop's P1+S1 with ``name`` in reports replaced by
-    ``wrong(original, *args)``, and the names of the algebras estimated."""
-    original = getattr(taubound.reports, name)
-    monkeypatch.setattr(taubound.reports, name,
-                        lambda *args, **kwargs: wrong(original, *args, **kwargs))
-    estimated = _count_calls(monkeypatch, "derdim_estimate")
-    A = parse_algebra_text(perfbench_algebras().ARROW_LOOP)
-    rep = derdim_bound_report(A, [projective(A, 0), simple(A, 0)], registry=REG)
-    return rep, [args[0].name for args in estimated]
+def _recheck_over_quotient(A, summands, restrict=restrict_to_quotient,
+                           classify=_classify_valid_pair):
+    """The computed re-check that M is tilting over C = A/ann M: the
+    summands, restricted to C, validated and classified as a pair over C.
+    Reports read that fact off the pair's own certificates (AIR Lemma 2.1,
+    Prop. 2.2); this is its oracle.  Returns C and the reasons it fails."""
+    C = factor_algebra(A, annihilator(direct_sum(A, summands).rep))
+    parts = [restrict(s, C) for s in summands]
+    val = validate_stt_pair(C, parts, (), seed=0)
+    failed = list(val.reasons)
+    if val.ok and classify(C, parts, ()) != "tilting":
+        failed.append(f"a summand has projective dimension > 1 over {C.name}")
+    return C, failed
 
 
-def test_a_passed_recheck_merges_the_estimate_of_the_quotient(monkeypatch):
-    rep, estimated = _report_with(monkeypatch, "restrict_to_quotient",
-                                  lambda original, *args: original(*args))
+def test_a_passed_recheck_merges_the_estimate_of_the_quotient(arrow_loop):
+    A = arrow_loop
+    summands = [projective(A, 0), simple(A, 0)]
+    C, failed = _recheck_over_quotient(A, summands)
+    assert not failed
+    rep = derdim_bound_report(A, summands, registry=REG)
     assert rep.notes[-1] == "tilting over arrow_loop/I certified; estimates merged"
-    assert "arrow_loop/I" in estimated
+    # d_B is the merge of B's own estimate with the oracle's estimate of C
+    est_c = derdim_estimate(C)
+    assert (rep.d_b.value, rep.d_b.kind) == (est_c.value, est_c.kind) == (0, "exact")
 
 
-def test_repeated_parts_over_the_quotient_fail_the_recheck(monkeypatch):
+def test_repeated_parts_over_the_quotient_fail_the_recheck(arrow_loop):
     # both summands restricted to C as P(1): a repeated summand over C
     seen = []
 
-    def first_summand_twice(original, M, C):
+    def first_summand_twice(M, C):
         seen.append(M)
-        return original(seen[0], C)
+        return restrict_to_quotient(seen[0], C)
 
-    rep, estimated = _report_with(monkeypatch, "restrict_to_quotient",
-                                  first_summand_twice)
-    assert rep.notes[-1] == ("quotient tilting re-check failed: repeated "
-                             "indecomposable summands (module is not basic)")
-    # d_B is B's own estimate, not merged with one of C
-    assert "arrow_loop/I" not in estimated
+    _, failed = _recheck_over_quotient(arrow_loop, [projective(arrow_loop, 0),
+                                                    simple(arrow_loop, 0)],
+                                       restrict=first_summand_twice)
+    assert failed == ["repeated indecomposable summands (module is not basic)"]
 
 
-def test_a_summand_of_pd_two_over_the_quotient_fails_the_recheck(monkeypatch):
-    def not_tilting_over_c(original, X, parts, support):
+def test_a_summand_of_pd_two_over_the_quotient_fails_the_recheck(arrow_loop):
+    def not_tilting_over_c(X, parts, support):
         if X.name == "arrow_loop/I":
             return "tau-tilting-not-tilting"
-        return original(X, parts, support)
+        return _classify_valid_pair(X, parts, support)
 
-    rep, estimated = _report_with(monkeypatch, "_classify_valid_pair",
-                                  not_tilting_over_c)
-    assert rep.notes[-1] == ("quotient tilting re-check failed: a summand has "
-                             "projective dimension > 1 over arrow_loop/I")
-    assert "arrow_loop/I" not in estimated
+    _, failed = _recheck_over_quotient(arrow_loop, [projective(arrow_loop, 0),
+                                                    simple(arrow_loop, 0)],
+                                       classify=not_tilting_over_c)
+    assert failed == ["a summand has projective dimension > 1 over arrow_loop/I"]
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +303,14 @@ def test_a_contradiction_without_the_registry_is_a_failed_certificate(
         arrow_loop, monkeypatch):
     # P1+S1 is not faithful; a wrong exact estimate of C = A/I contradicts
     # d_B = 0 with no registry fact involved, even with A in the registry
-    estimate = taubound.reports.derdim_estimate
+    estimate = taubound.reports.estimate_from_layers
 
-    def wrong_for_the_quotient(X, registry=None):
-        if X.name == "arrow_loop/I":
+    def wrong_for_the_quotient(name, *args, **kwargs):
+        if name == "arrow_loop/I":
             return DerdimEstimate(7, "exact", "rule:semisimple")
-        return estimate(X, registry)
+        return estimate(name, *args, **kwargs)
 
-    monkeypatch.setattr(taubound.reports, "derdim_estimate", wrong_for_the_quotient)
+    monkeypatch.setattr(taubound.reports, "estimate_from_layers", wrong_for_the_quotient)
     with pytest.raises(CertificationError, match=r"report on pair P1\+S1 of "
                                                  r"arrow_loop: inconsistent exact"):
         derdim_bound_report(arrow_loop, [projective(arrow_loop, 0),
@@ -373,52 +380,144 @@ def _count_calls(monkeypatch, name, module=taubound.reports):
     return calls
 
 
+def _patch_everywhere(monkeypatch, module, name, make):
+    """Replace ``taubound.<module>.<name>`` by ``make(original)`` in every
+    package module that binds it, as the benchmark's tracer does."""
+    original = getattr(importlib.import_module(f"taubound.{module}"), name)
+    replacement = make(original)
+    for package_module in [m for n, m in list(sys.modules.items())
+                           if m is not None and n.split(".")[0] == "taubound"]:
+        for attr, value in list(vars(package_module).items()):
+            if value is original:
+                monkeypatch.setattr(package_module, attr, replacement)
+
+
+def _count_everywhere(monkeypatch, module, name):
+    calls = []
+
+    def make(original):
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return counting
+
+    _patch_everywhere(monkeypatch, module, name, make)
+    return calls
+
+
+# the presentation route and the computed re-check over C: test oracles,
+# not steps of a report
+NOT_ON_THE_REPORT_PATH = [
+    ("algebra", "factor_algebra"), ("algebra", "present_structure_as_bound_quiver"),
+    ("algebra", "construct_algebra"), ("endo", "quiver_presentation"),
+    ("tau", "validate_stt_pair"), ("reps", "restrict_to_quotient"),
+    ("decompose", "iso_test"), ("reps", "ext1_dim"), ("reps", "projective_dimension"),
+    ("reports", "quotient_by_annihilator"), ("reports", "tilting_proxy_check"),
+]
+
+
 def test_graph_reports_build_each_node_fact_once(corpus_algebras, monkeypatch):
-    counted = ("endo_algebra", "quiver_presentation", "annihilator",
-               "derdim_estimate", "restrict_to_quotient", "ext1_dim",
-               "projective_dimension", "quotient_by_annihilator",
-               "tilting_proxy_check")
-    calls = {name: _count_calls(monkeypatch, name) for name in counted}
-    for A in corpus_algebras.values():
-        for c in calls.values():
-            c.clear()
+    absent = {name: _count_everywhere(monkeypatch, module, name)
+              for module, name in NOT_ON_THE_REPORT_PATH}
+    counted = {name: _count_everywhere(monkeypatch, module, name) for module, name in [
+        ("endo", "endo_algebra"), ("endo", "derdim_estimate"), ("reps", "annihilator"),
+        ("reps", "annihilator_dim")]}
+    # Hom bases, flagged when decompose asks for one: its End basis certifies
+    # a new cokernel before the class joins the store
+    homs, decomposing = [], []
+
+    def flagging(original):
+        def flagged(*args, **kwargs):
+            decomposing.append(True)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                decomposing.pop()
+        return flagged
+
+    def recording(original):
+        def recorded(M, N):
+            homs.append((M, N, bool(decomposing)))
+            return original(M, N)
+        return recorded
+
+    _patch_everywhere(monkeypatch, "decompose", "decompose", flagging)
+    _patch_everywhere(monkeypatch, "reps", "hom_basis", recording)
+    line4 = parse_algebra_text(perfbench_algebras().line_text("line4", 4, "Fp 32003"))
+    for A in list(corpus_algebras.values()) + [line4]:
+        for calls in list(absent.values()) + list(counted.values()) + [homs]:
+            calls.clear()
         graph, _ = graph_reports(A)
-        faithful = sum(n.classification == "tilting" for n in graph.nodes)
-        non_faithful = sum(n.classification == "tau-tilting-not-tilting"
-                           for n in graph.nodes)
-        sincere = faithful + non_faithful
-        # End(M) once over A, presented once, and never over C = A/ann M,
-        # where End_C(M) = End_A(M)
-        assert len(calls["endo_algebra"]) == sincere, A.name
-        assert len(calls["quiver_presentation"]) == sincere, A.name
-        # a faithful node's annihilator is 0 by classification
-        assert len(calls["annihilator"]) == graph.n_nodes - faithful, A.name
-        assert sum(args[0] is A for args in calls["derdim_estimate"]) == 1, A.name
-        # the re-check over C restricts each listed summand, never their sum
-        listed = {id(s) for n in graph.nodes for s in n.pair.summands}
-        assert all(id(args[0]) in listed for args in calls["restrict_to_quotient"])
-        assert len(calls["restrict_to_quotient"]) == sum(
-            len(n.pair.summands) for n in graph.nodes
-            if n.classification == "tau-tilting-not-tilting"), A.name
-        for name in ("ext1_dim", "projective_dimension",
-                     "quotient_by_annihilator", "tilting_proxy_check"):
-            assert not calls[name], (A.name, name)
+        assert {name: len(calls) for name, calls in absent.items()} == \
+            dict.fromkeys(absent, 0), A.name
+        kinds = [n.classification for n in graph.nodes]
+        sincere = kinds.count("tilting") + kinds.count("tau-tilting-not-tilting")
+        # End(M) once per sincere node
+        assert [args[0] for args in counted["endo_algebra"]] == [
+            list(n.pair.summands) for n in graph.nodes
+            if n.classification in ("tilting", "tau-tilting-not-tilting")], A.name
+        assert sum(args[0] is A for args in counted["derdim_estimate"]) == 1, A.name
+        # a faithful node's annihilator is 0 by classification, and an
+        # inapplicable node needs only the dimension of its annihilator
+        assert len(counted["annihilator"]) == kinds.count("tau-tilting-not-tilting")
+        assert len(counted["annihilator_dim"]) == graph.n_nodes - sincere
+        # each Hom basis between two class modules is computed once, by the
+        # enumeration or by the first report that needs it
+        classes = {id(K) for ks in graph._store.classes.values() for K in ks}
+        pairs = [(id(M), id(N)) for M, N, inside in homs
+                 if id(M) in classes and id(N) in classes and not inside]
+        assert pairs and len(pairs) == len(set(pairs)), A.name
 
 
 def test_faithful_nodes_are_reported_from_their_certificates(monkeypatch):
     # every sincere node of A4 is faithful: no pd, Ext^1, annihilator or
     # quotient is computed for it, and End(M) is built once per node
     A = parse_algebra_text(perfbench_algebras().line_text("line4", 4, "Fp 32003"))
-    counted = ("endo_algebra", "annihilator", "ext1_dim",
+    counted = ("endo_algebra", "annihilator", "annihilator_dim", "ext1_dim",
                "projective_dimension", "quotient_by_annihilator")
     calls = {name: _count_calls(monkeypatch, name) for name in counted}
     graph, _ = graph_reports(A)
     faithful = sum(n.classification == "tilting" for n in graph.nodes)
     assert faithful == 14 and graph.n_nodes == 42
     assert len(calls["endo_algebra"]) == faithful
-    assert len(calls["annihilator"]) == graph.n_nodes - faithful
+    assert not calls["annihilator"]
+    assert len(calls["annihilator_dim"]) == graph.n_nodes - faithful
     assert not (calls["ext1_dim"] or calls["projective_dimension"]
                 or calls["quotient_by_annihilator"])
+
+
+def test_reports_keep_no_hidden_state(corpus_algebras):
+    # the store lives on the graph of one enumeration: reports repeated in
+    # one process, or after an enumeration of the same algebra, read the same
+    bench = perfbench_algebras()
+    algebras = list(corpus_algebras.values()) + [
+        parse_algebra_text(text) for _, text, _ in bench.LADDER_FP]
+
+    def text(A):
+        graph, reports = graph_reports(A)
+        return canonical_json([export_graph_json(graph)]
+                              + [r.to_json_dict() for r in reports])
+
+    for A in algebras:
+        first = text(A)
+        assert text(A) == first, A.name
+        enumerate_stt(A)
+        assert text(A) == first, A.name
+
+
+def test_the_dimension_of_an_annihilator_is_read_off_a_rank(corpus_algebras):
+    bench = perfbench_algebras()
+    algebras = list(corpus_algebras.values()) + [
+        parse_algebra_text(text) for _, text, _ in bench.LADDER_FP + bench.LADDER_Q]
+    seen = 0
+    for A in algebras:
+        for node in enumerate_stt(A).nodes:
+            if node.classification in ("zero", "proper-support"):
+                M = direct_sum(A, list(node.pair.summands)).rep
+                assert annihilator_dim(M) == annihilator(M).dim, (A.name, node.key)
+                seen += 1
+    # the zero and proper-support nodes of the corpus and ladder graphs
+    assert seen == 86
 
 
 def test_inapplicable_report_skips_the_ambient_estimate(arrow_loop, monkeypatch):
