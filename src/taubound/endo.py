@@ -23,10 +23,11 @@ from typing import Callable, Mapping, Optional, Sequence
 from .algebra import (Arrow, BoundQuiverAlgebra, Quiver, StructureAlgebra,
                       ideal_powers, loewy_length,
                       present_structure_as_bound_quiver)
-from .decompose import _local_or_split, iso_test
+from .decompose import iso_test
 from .exceptions import CertificationError, InputError
 from .linalg import Span, coordinates, unit_vector
-from .reps import ModMap, Rep, hom_basis, identity_map
+from .mutation import _ClassStore
+from .reps import ModMap, Rep, identity_map
 
 
 @dataclass
@@ -36,8 +37,9 @@ class EndoAlgebra:
     summands: tuple[Rep, ...]
     basis_maps: tuple[ModMap, ...]
     diag_offsets: tuple[int, ...]          # position of id_{T_u} in the basis
-    # per summand, the λ_b of its other diagonal basis elements, when known
-    lams: Optional[tuple[Optional[list], ...]] = None
+    # per summand, the λ_b of its other diagonal basis elements; None when
+    # End(T_u) is not local with residue field k
+    lams: tuple[Optional[list], ...]
 
     @property
     def dim(self) -> int:
@@ -48,7 +50,8 @@ def endo_algebra(summands: Sequence[Rep],
                  labels: Optional[Sequence[str]] = None, *,
                  _store=None) -> EndoAlgebra:
     """With an enumeration's class store ``_store``, the summands are its
-    classes, distinct by its certificate, with their stored Homs and λ_b."""
+    classes, distinct by its certificate; without one they are checked
+    pairwise non-isomorphic, and a throwaway store gives Hom bases and λ_b."""
     t = len(summands)
     if t == 0:
         raise InputError("endo_algebra: empty summand list")
@@ -57,14 +60,15 @@ def endo_algebra(summands: Sequence[Rep],
         if s.algebra is not A:
             raise InputError(f"endo_algebra: summands over {A.name} and {s.algebra.name}")
     F = A.field
-    # the presentation below reads off local blocks, so repeats are rejected
-    for u in range(t if _store is None else 0):
-        for v in range(u + 1, t):
-            if summands[u].dims == summands[v].dims and \
-                    iso_test(summands[u], summands[v]).isomorphic:
-                raise InputError("summands must be pairwise non-isomorphic")
+    if _store is None:
+        # the presentation below reads off local blocks, so repeats are rejected
+        for u in range(t):
+            for v in range(u + 1, t):
+                if summands[u].dims == summands[v].dims and \
+                        iso_test(summands[u], summands[v]).isomorphic:
+                    raise InputError("summands must be pairwise non-isomorphic")
+        _store = _ClassStore(summands)
     labels = tuple(labels) if labels is not None else tuple(str(k + 1) for k in range(t))
-    hom = hom_basis if _store is None else _store.hom
 
     basis_maps: list[ModMap] = []
     block_of: list[tuple[int, int]] = []
@@ -73,7 +77,7 @@ def endo_algebra(summands: Sequence[Rep],
     lams: list[Optional[list]] = []
     for u in range(t):
         for v in range(t):
-            homs = hom(summands[v], summands[u])
+            homs = _store.hom(summands[v], summands[u])
             if u == v:
                 ident = identity_map(summands[u])
                 span = Span(F, len(ident.vectorize()) or 1)
@@ -81,9 +85,8 @@ def endo_algebra(summands: Sequence[Rep],
                 if ident.vectorize():
                     span.add(ident.vectorize())
                     kept = [c for c, h in enumerate(homs) if span.add(h.vectorize())]
-                if _store is not None:
-                    lam = _store.lams(summands[u])
-                    lams.append(None if lam is None else [lam[c] for c in kept])
+                lam = _store.lams(summands[u]) if kept else []   # else End(T_u) = k*id
+                lams.append(None if lam is None else [lam[c] for c in kept])
                 homs = [ident] + [homs[c] for c in kept]
                 diag_offsets[u] = len(basis_maps)
             start = len(basis_maps)
@@ -113,24 +116,21 @@ def endo_algebra(summands: Sequence[Rep],
     sa = StructureAlgebra(F, tuple(tuple(row) for row in table), idempotents,
                           labels, block_of)
     return EndoAlgebra(sa, tuple(summands), tuple(basis_maps), tuple(diag_offsets),
-                       None if _store is None else tuple(lams))
+                       tuple(lams))
 
 
 def _radical_vectors(endo: EndoAlgebra) -> list[tuple]:
     """The radical, assembled structurally: all off-diagonal blocks plus the
-    radical of each local algebra End(T_u), spanned by the b - λ_b*id for
-    the other basis elements b of its block, certified nilpotent by their
-    action on T_u.  Each End(T_u)/rad must be one-dimensional (the summand
-    is indecomposable with split endomorphism ring); otherwise
-    certification fails."""
+    radical of each local End(T_u), spanned by the b - λ_b*id for the other
+    basis elements b of its block, λ_b from the class store.  A summand
+    whose End(T_u)/rad is not k (decomposable, or with a non-split End)
+    fails certification."""
     sa = endo.sa
     F = sa.field
     rad_vectors = [sa.unit_vec(i) for i, (u, v) in enumerate(sa.block_of) if u != v]
-    for u, T in enumerate(endo.summands):
+    for u, lams in enumerate(endo.lams):
         ident = endo.diag_offsets[u]
         idx = [i for i in sa.block(u, u) if i != ident]
-        lams = (_local_or_split(T, [endo.basis_maps[i] for i in idx])[1]
-                if endo.lams is None else endo.lams[u])
         if lams is None:
             raise CertificationError(
                 f"non-split block: End(T) of summand {sa.vertex_labels[u]} is "

@@ -15,7 +15,7 @@ from taubound.linalg import Mat, Span, inverse, nullspace
 from taubound.mutation import enumerate_stt
 from taubound.reps import Rep, hom_dim, projective, simple
 
-from conftest import corpus_path
+from conftest import corpus_path, perfbench_algebras
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +97,28 @@ def test_non_split_block_is_rejected():
     assert endo.dim == 2
     with pytest.raises(CertificationError, match="non-split block"):
         quiver_presentation(endo)
+
+
+def test_endo_algebra_has_one_path(corpus_algebras):
+    # without a class store, End(M) is built on a throwaway one: the same
+    # table, idempotents, blocks and λ_b as on the enumeration's store
+    bench = perfbench_algebras()
+    algebras = list(corpus_algebras.values()) + [
+        parse_algebra_text(text) for _, text, _ in bench.LADDER_FP + bench.LADDER_Q]
+    compared = 0
+    for A in algebras:
+        graph = enumerate_stt(A)
+        for node in graph.nodes:
+            if node.classification not in ("tilting", "tau-tilting-not-tilting"):
+                continue
+            summands = list(node.pair.summands)
+            free, stored = endo_algebra(summands), endo_algebra(summands, _store=graph._store)
+            assert free.sa.table == stored.sa.table
+            assert free.sa.idempotents == stored.sa.idempotents
+            assert free.diag_offsets == stored.diag_offsets
+            assert free.lams == stored.lams and None not in free.lams
+            compared += 1
+    assert compared == 62
 
 
 # ---------------------------------------------------------------------------

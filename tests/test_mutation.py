@@ -15,18 +15,18 @@ import pytest
 import taubound.mutation
 from taubound import CertificationError, InputError, parse_algebra_text
 from taubound.algebra import opposite
-from taubound.decompose import _indec_iso, iso_test
+from taubound.decompose import _indec_iso, decompose, iso_test
 from taubound.cli import cli_run
 from taubound.linalg import Mat, Span
-from taubound.mutation import (IsoRegistry, SttPair, _ClassStore, _certify_left_minimal,
-                               compact_label, enumerate_stt, fac_contains,
-                               minimal_left_approximation, mutate,
-                               mutate_down, pair_key)
+from taubound.mutation import (IsoRegistry, SttPair, _ClassStore, compact_label,
+                               enumerate_stt, fac_contains, minimal_left_approximation,
+                               mutate, mutate_down, pair_key)
 from taubound.reps import (Rep, cokernel, direct_sum, dual, hom_basis,
                            injective_rep, projective, simple, zero_map)
 from taubound.reports import export_graph_json
 from taubound.tau import tau, validate_stt_pair
 from conftest import corpus_path, perfbench_algebras
+from oracles import _certify_left_minimal
 
 
 _BENCH = perfbench_algebras()
@@ -656,13 +656,40 @@ def test_each_class_is_presented_decomposed_and_named_once(name, monkeypatch):
     classes = len({lab for n in g.nodes for lab in n.summand_names})
     new_classes = classes - A.n_vertices   # every P(v) is a summand of the root
     assert calls["minimal_presentation"] == classes
-    assert calls["decompose"] <= new_classes
+    assert calls["decompose"] == 0   # a new class is certified by its λ_b
     assert calls["name_of"] <= A.n_vertices + new_classes
 
 
 def _down_edge_graphs(corpus_algebras):
     algebras = list(corpus_algebras.values()) + [parse_algebra_text(t) for t in LADDER.values()]
     return [enumerate_stt(A) for A in algebras]
+
+
+def test_every_approximation_is_left_minimal(corpus_algebras, monkeypatch):
+    # left minimality holds by construction; the oracle proves it again
+    # through End(Y), on every approximation of the corpus and ladder graphs
+    approximate, certified = taubound.mutation.minimal_left_approximation, []
+
+    def checked(X, targets, **kwargs):
+        f, kept = approximate(X, targets, **kwargs)
+        _certify_left_minimal(f)
+        certified.append(f)
+        return f, kept
+
+    monkeypatch.setattr(taubound.mutation, "minimal_left_approximation", checked)
+    graphs = _down_edge_graphs(corpus_algebras)
+    assert len(certified) == sum(g.n_edges for g in graphs) == 236
+
+
+def test_every_stored_class_is_indecomposable(corpus_algebras):
+    # the λ_b that certify a new class, against decompose's own certificate
+    classes = 0
+    for g in _down_edge_graphs(corpus_algebras):
+        for K in (K for ks in g._store.classes.values() for K in ks):
+            assert len(decompose(K).leaves) == 1
+            assert g._store.lams(K) is not None
+            classes += 1
+    assert classes == 59
 
 
 def test_store_free_mutation_agrees_on_every_down_edge(corpus_algebras):

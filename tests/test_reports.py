@@ -422,26 +422,14 @@ def test_graph_reports_build_each_node_fact_once(corpus_algebras, monkeypatch):
     counted = {name: _count_everywhere(monkeypatch, module, name) for module, name in [
         ("endo", "endo_algebra"), ("endo", "derdim_estimate"), ("reps", "annihilator"),
         ("reps", "annihilator_dim")]}
-    # Hom bases, flagged when decompose asks for one: its End basis certifies
-    # a new cokernel before the class joins the store
-    homs, decomposing = [], []
-
-    def flagging(original):
-        def flagged(*args, **kwargs):
-            decomposing.append(True)
-            try:
-                return original(*args, **kwargs)
-            finally:
-                decomposing.pop()
-        return flagged
+    homs = []
 
     def recording(original):
         def recorded(M, N):
-            homs.append((M, N, bool(decomposing)))
+            homs.append((M, N))
             return original(M, N)
         return recorded
 
-    _patch_everywhere(monkeypatch, "decompose", "decompose", flagging)
     _patch_everywhere(monkeypatch, "reps", "hom_basis", recording)
     line4 = parse_algebra_text(perfbench_algebras().line_text("line4", 4, "Fp 32003"))
     for A in list(corpus_algebras.values()) + [line4]:
@@ -462,10 +450,11 @@ def test_graph_reports_build_each_node_fact_once(corpus_algebras, monkeypatch):
         assert len(counted["annihilator"]) == kinds.count("tau-tilting-not-tilting")
         assert len(counted["annihilator_dim"]) == graph.n_nodes - sincere
         # each Hom basis between two class modules is computed once, by the
-        # enumeration or by the first report that needs it
+        # enumeration or by the first report that needs it; a new cokernel's
+        # End basis certifies it and joins the store with the class
         classes = {id(K) for ks in graph._store.classes.values() for K in ks}
-        pairs = [(id(M), id(N)) for M, N, inside in homs
-                 if id(M) in classes and id(N) in classes and not inside]
+        pairs = [(id(M), id(N)) for M, N in homs
+                 if id(M) in classes and id(N) in classes]
         assert pairs and len(pairs) == len(set(pairs)), A.name
 
 
