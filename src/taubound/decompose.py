@@ -339,15 +339,15 @@ def _iso_classes(indecs: Sequence[Rep]) -> tuple[list[Rep], list[int]]:
 # Isomorphism testing
 
 
-def _indec_iso(X: Rep, Y: Rep) -> Optional[ModMap]:
-    """The first element of hom_basis(X, Y) that is an isomorphism, or None.
+def _indec_iso(X: Rep, Y: Rep, hom=None) -> Optional[ModMap]:
+    """The first element of hom(X, Y), hom_basis by default, that is an iso, or None.
 
     For indecomposable X and Y this decides X ~= Y exactly: the
     non-isomorphisms X -> Y form the proper subspace rad(X, Y) of Hom(X, Y)
     when X ~= Y, so some basis element lies outside it."""
     if X.dims != Y.dims:
         return None
-    for h in hom_basis(X, Y):
+    for h in (hom or hom_basis)(X, Y):
         if all(is_invertible(b) for b in h.blocks):
             return h
     return None

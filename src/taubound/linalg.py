@@ -218,8 +218,7 @@ def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 
 def rank(mat: Mat) -> int:
-    _, pivots = rref(mat)
-    return len(pivots)
+    return len(rref(mat)[1]) if mat.nrows and mat.ncols else 0
 
 
 def nullspace(mat: Mat) -> list[tuple]:

@@ -27,9 +27,10 @@ already tau-rigid together, certified where their pair was reached, so
 only the new blocks Hom(C, tau C), Hom(C, tau R) and Hom(R, tau C) are
 checked.  By Thm 2.18 both always hold.  An enumeration, or one mutation,
 keeps a store of the summand classes met: one module per class, whose tau,
-Hom bases, λ_b and name are computed once.  An invertible basis hom C -> K
-to a stored K proves C ~= K, and C indecomposable as K is; the step goes
-on with K.  A class not stored is certified indecomposable by its λ_b
+Hom bases, class-triple compositions, λ_b and name are computed once.  A
+step reads dim C = dim Y - rank f, and C ~= K for a stored K off stored
+Homs (``_ClassStore``), with Y and C unbuilt; it goes on with K.  Only a
+class not stored is built as coker f, certified indecomposable by its λ_b
 (End(C) is local with residue field k) and joins the store, new to every
 remaining summand; ``decompose`` only words a refusal.
 """
@@ -43,9 +44,9 @@ from typing import Optional, Sequence
 from .algebra import BoundQuiverAlgebra, opposite
 from .decompose import _indec_iso, _local_or_split, decompose, iso_test
 from .exceptions import CertificationError, InputError
-from .linalg import Span
-from .reps import (ModMap, Rep, cokernel, direct_sum, dual, hom_basis, projective, simple,
-                   zero_map)
+from .linalg import Mat, Span, hstack, nullspace, rank
+from .reps import (ModMap, Rep, cokernel, direct_sum, dual, hom_basis, linear_combination,
+                   projective, simple, zero_map)
 from .tau import SttPair, _classify_valid_pair, tau, tau_data, validate_stt_pair
 
 
@@ -89,19 +90,24 @@ def minimal_left_approximation(X: Rep, targets: Sequence[Rep], *, _store=None):
     compositions; the kept g_c are independent there, so μ = 1 and φ is a
     unit, id plus a radical element."""
     store = _ClassStore(()) if _store is None else _store
+    kept = _left_approximation(X, targets, store)
+    return (_approximation_map(X, targets, kept, store),
+            [(i, store.hom(X, targets[i])[c]) for i, c in kept])
+
+
+def _left_approximation(X: Rep, targets: Sequence[Rep], store) -> list[tuple[int, int]]:
+    """The kept copies, as (target index i, position in store.hom(X, T_i))."""
     F = X.algebra.field
     gs = {i: homs for i, T in enumerate(targets) if (homs := store.hom(X, T))}
     # comps[j, i][a][c] is the vector of u_a . g_c, u_a a basis hom T_j -> T_i
-    between = {(j, i): store.hom(targets[j], targets[i]) for j in gs for i in gs}
-    comps = {(j, i): [[u.compose(g).vectorize() for g in gs[j]] for u in us]
-             for (j, i), us in between.items()}
+    comps = {(j, i): store.comps(X, targets[j], targets[i]) for j in gs for i in gs}
     vecs = {i: [g.vectorize() for g in homs] for i, homs in gs.items()}
     kept = []
     for i in gs:
         rad = Span(F, len(vecs[i][0]))
         for w in (w for j in gs if j != i for row in comps[j, i] for w in row):
             rad.add(w)
-        if len(between[i, i]) > 1:
+        if len(comps[i, i]) > 1:
             lams = store.lams(targets[i])
             if lams is None:
                 raise CertificationError(f"approximation target {targets[i].dims_str()} "
@@ -118,12 +124,16 @@ def minimal_left_approximation(X: Rep, targets: Sequence[Rep], *, _store=None):
         if not all(have.contains(g) for g in vecs[i]):
             raise CertificationError(f"left approximation certificate failed: a hom into "
                                      f"{targets[i].dims_str()} does not factor through it")
-    kept = [(i, gs[i][c]) for i, c in kept]
+    return kept
+
+
+def _approximation_map(X: Rep, targets: Sequence[Rep], kept, store) -> ModMap:
+    """f: X -> Y, Y the direct sum of the kept copies' targets in order."""
     ds = direct_sum(X.algebra, [targets[i] for i, _ in kept])
     f = zero_map(X, ds.rep)
-    for (_, h), incl in zip(kept, ds.inclusions):
-        f = f.add(incl.compose(h))
-    return f, kept
+    for (i, c), incl in zip(kept, ds.inclusions):
+        f = f.add(incl.compose(store.hom(X, targets[i])[c]))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +155,12 @@ class _UpOnlySlot(InputError):
 
 class _ClassStore:
     """Certified-indecomposable, pairwise non-isomorphic canonical modules
-    by dimension vector, with their facts (see the module docstring)."""
+    by dimension vector, with their facts (see the module docstring).  For
+    C = coker(f: X -> Y = ⊕_c T_c), precomposing with Y -> C maps Hom(C, K)
+    onto the h in ⊕_c Hom(T_c, K) with Σ_c h_c.g_c = 0, the nullspace of the
+    columns comps(X, T_c, K)[a][c].  If dim K = dim C, h is onto K exactly
+    when it induces an iso C -> K.  End(K) is local, so if C ~= K the
+    non-isos are the proper subspace rad(C, K): some basis h is onto K."""
 
     def __init__(self, summands: Sequence[Rep], registry: Optional[IsoRegistry] = None):
         self.classes: dict[tuple, list[Rep]] = {}
@@ -159,16 +174,31 @@ class _ClassStore:
     def hom(self, X: Rep, Y: Rep) -> list[ModMap]:
         return self._fact(("hom", X, Y), lambda: hom_basis(X, Y))
 
+    def comps(self, X: Rep, T: Rep, K: Rep) -> list[list[tuple]]:
+        """[a][c]: the vector of u_a.g_c, u_a in hom(T, K), g_c in hom(X, T)."""
+        return self._fact(("comps", X, T, K), lambda: [
+            [u.compose(g).vectorize() for g in self.hom(X, T)] for u in self.hom(T, K)])
+
     def lams(self, T: Rep) -> Optional[list]:
         return self._fact(("lams", T), lambda: _local_or_split(T, self.hom(T, T))[1])
 
     def name(self, K: Rep) -> str:
-        return self._fact(("name", K), lambda: self.registry.name_of(K, _indecomposable=True))
+        return self._fact(("name", K), lambda: self.registry.name_of(K, _hom=self.hom))
 
-    def resolve(self, C: Rep) -> Optional[Rep]:
-        """The stored K with an invertible basis hom C -> K, or None."""
-        return next((K for K in self.classes.get(C.dims, ())
-                     if _indec_iso(C, K) is not None), None)
+    def cokernel_class(self, X: Rep, targets, kept, dims: tuple) -> Optional[Rep]:
+        """The stored K ~= coker(X -> ⊕ T_c), the kept copies of the targets
+        (``_left_approximation``), of dimension vector ``dims``, or None."""
+        F = X.algebra.field
+        for K in self.classes.get(dims, ()):
+            homs = [us for i, _ in kept if (us := self.hom(targets[i], K))]
+            cols = [row[c] for i, c in kept for row in self.comps(X, targets[i], K)]
+            for x in nullspace(Mat.from_rows(F, cols).transpose()):
+                xs = iter(x)   # h = [h_c], h_c = Σ_a x_(c,a) u_a
+                hs = [linear_combination(us, [next(xs) for _ in us]) for us in homs]
+                if all(rank(hstack(F, [h.blocks[v] for h in hs], d)) == d
+                       for v, d in enumerate(dims)):
+                    return K
+        return None
 
 
 def mutate_down(pair: SttPair, slot: int, seed: int = 0, *, _store=None) -> MutationStep:
@@ -196,9 +226,12 @@ def mutate_down(pair: SttPair, slot: int, seed: int = 0, *, _store=None) -> Muta
 
 def _exchange_down(pair: SttPair, X: Rep, rest: list[Rep], seed: int, store) -> MutationStep:
     A = pair.algebra
-    f, _ = minimal_left_approximation(X, rest, _store=store)
-    C, _ = cokernel(f)
-    if C.dim_total == 0:
+    kept = _left_approximation(X, rest, store)
+    # dim C_v = dim Y_v - rank f_v, f_v the kept blocks g_c at v stacked
+    dims = tuple(sum(rest[i].dims[v] for i, _ in kept) - rank(Mat.from_rows(A.field, [
+        r for i, c in kept for r in store.hom(X, rest[i])[c].blocks[v].rows]))
+        for v in range(A.n_vertices))
+    if not any(dims):
         # rest is tau-rigid with n - |support| - 1 indecomposable summands; two
         # candidates would keep it so over n - |support| - 2 vertices (AIR 2.1)
         candidates = [v for v in range(A.n_vertices)
@@ -210,17 +243,20 @@ def _exchange_down(pair: SttPair, X: Rep, rest: list[Rep], seed: int, store) -> 
         v = candidates[0]
         new_pair = SttPair(A, tuple(rest), tuple(sorted(pair.support + (v,))))
         return MutationStep(new_pair, X, None, v)
-    K = store.resolve(C)
-    if K in rest:
+    C = store.cokernel_class(X, rest, kept, dims)
+    if C in rest:
         raise CertificationError("the exchange cokernel is isomorphic to a "
                                  "remaining summand")
-    if K is None:
+    if C is None:   # a new class: build it, on the nose
+        C, _ = cokernel(_approximation_map(X, rest, kept, store))
+        if C.dims != dims:
+            raise CertificationError(f"the exchange cokernel {C.dims_str()} does not have "
+                                     f"the predicted dimension vector {dims}")
         if store.lams(C) is None:
             raise CertificationError(f"the exchange cokernel decomposed into "
                                      f"{decompose(C, seed=seed).multiplicities} "
                                      f"copies instead of one indecomposable")
         store.classes.setdefault(C.dims, []).append(C)
-    C = K or C   # a stored class goes on as its own object, tau memoised on it
     # tau commutes with direct sums, so the new blocks add up to the
     # dimension of Hom(M, tau M) for the whole new module
     tC = tau(C)
@@ -249,16 +285,16 @@ class IsoRegistry:
         self._names: set[str] = set()
         for v in range(algebra.n_vertices):
             lab = algebra.quiver.vertices[v]
-            self._intern(projective(algebra, v), f"P({lab})", True)
-            self._intern(simple(algebra, v), f"S({lab})", True)
+            self._intern(projective(algebra, v), f"P({lab})", hom_basis)
+            self._intern(simple(algebra, v), f"S({lab})", hom_basis)
 
-    def _intern(self, rep: Rep, name: Optional[str], indecomposable: bool = False) -> str:
+    def _intern(self, rep: Rep, name: Optional[str], hom=None) -> str:
         """The name of rep's class; an unseen class is recorded under
         ``name``, or under a fresh dimension-vector name when that is None.
-        A certified indecomposable rep is matched by basis homs alone."""
+        A certified indecomposable rep is matched by ``hom``'s bases alone."""
         for rep0, name0 in self._entries:
             if rep0.dims == rep.dims and (
-                    _indec_iso(rep, rep0) is not None if indecomposable
+                    _indec_iso(rep, rep0, hom) is not None if hom
                     else iso_test(rep, rep0, seed=self.seed).isomorphic):
                 return name0
         if name is None:
@@ -273,8 +309,8 @@ class IsoRegistry:
         self._names.add(name)
         return name
 
-    def name_of(self, rep: Rep, *, _indecomposable: bool = False) -> str:
-        return self._intern(rep, None, _indecomposable)
+    def name_of(self, rep: Rep, *, _hom=None) -> str:
+        return self._intern(rep, None, _hom)
 
 
 # ---------------------------------------------------------------------------

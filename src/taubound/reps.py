@@ -579,9 +579,17 @@ def _action_matrix(M: Rep) -> Mat:
         for j in range(A.n_vertices):
             offsets[(i, j)] = total
             total += M.dims[j] * M.dims[i]
+    acts = {}   # (source, arrows) -> the action: one arrow past its prefix's
+
+    def act_of(s: int, arrows: tuple) -> Mat:
+        if (s, arrows) not in acts:
+            acts[s, arrows] = (M.maps[arrows[-1]].mul(act_of(s, arrows[:-1])) if arrows
+                               else Mat.identity(F, M.dims[s]))
+        return acts[s, arrows]
+
     rows = [[F.zero] * A.dim for _ in range(total)]
     for b in range(A.dim):
-        act = path_matrix(M, A.basis[b])
+        act = act_of(A.basis[b].source, A.basis[b].arrows)
         base = offsets[A.block_of[b]]
         for r in range(act.nrows):
             for c in range(act.ncols):

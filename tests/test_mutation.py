@@ -232,23 +232,33 @@ def test_left_approximation_refuses_targets_outside_its_precondition(line2):
 
 
 def test_approximation_builds_its_codomain_once(monkeypatch):
-    sums, per_call = [], []
-    ds, approx = taubound.mutation.direct_sum, taubound.mutation.minimal_left_approximation
+    # a down-step names its cokernel from class facts: Y = ⊕ T_c and
+    # C = coker f are built, and C matched by basis homs, only for a new class
+    calls = {attr: [] for attr in ("direct_sum", "cokernel", "_indec_iso")}
 
-    def counting_sum(*args, **kwargs):
-        sums.append(args)
-        return ds(*args, **kwargs)
+    def counting(attr):
+        fn = getattr(taubound.mutation, attr)
 
-    def recording_approx(*args, **kwargs):
-        before = len(sums)
-        out = approx(*args, **kwargs)
-        per_call.append(len(sums) - before)
-        return out
+        def wrapper(*args, **kwargs):
+            calls[attr].append(args)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(taubound.mutation, attr, wrapper)
 
-    monkeypatch.setattr(taubound.mutation, "direct_sum", counting_sum)
-    monkeypatch.setattr(taubound.mutation, "minimal_left_approximation", recording_approx)
-    assert enumerate_stt(parse_algebra_text(LINE4)).n_nodes == 42
-    assert per_call and max(per_call) <= 1
+    for attr in calls:
+        counting(attr)
+    for name in ("line4", "preproj3", "nakayama3_4", "line3_q"):
+        A = parse_algebra_text(LADDER[name])
+        registry = IsoRegistry(A)   # its own P(v) and S(v) are interned here
+        for seen in calls.values():
+            seen.clear()
+        g = enumerate_stt(A, registry=registry)
+        classes = len({lab for n in g.nodes for lab in n.summand_names})
+        new_classes = classes - A.n_vertices   # every P(v) is a summand of the root
+        assert new_classes, name
+        assert len(calls["direct_sum"]) == len(calls["cokernel"]) == new_classes, name
+        # only naming a class compares it with the registry's entries
+        stored = {id(K) for ks in g._store.classes.values() for K in ks}
+        assert calls["_indec_iso"] and {id(args[0]) for args in calls["_indec_iso"]} <= stored
 
 
 def test_fac_contains(line2):
@@ -668,15 +678,16 @@ def _down_edge_graphs(corpus_algebras):
 def test_every_approximation_is_left_minimal(corpus_algebras, monkeypatch):
     # left minimality holds by construction; the oracle proves it again
     # through End(Y), on every approximation of the corpus and ladder graphs
-    approximate, certified = taubound.mutation.minimal_left_approximation, []
+    approximate, certified = taubound.mutation._left_approximation, []
 
-    def checked(X, targets, **kwargs):
-        f, kept = approximate(X, targets, **kwargs)
+    def checked(X, targets, store):
+        kept = approximate(X, targets, store)
+        f = taubound.mutation._approximation_map(X, targets, kept, store)
         _certify_left_minimal(f)
         certified.append(f)
-        return f, kept
+        return kept
 
-    monkeypatch.setattr(taubound.mutation, "minimal_left_approximation", checked)
+    monkeypatch.setattr(taubound.mutation, "_left_approximation", checked)
     graphs = _down_edge_graphs(corpus_algebras)
     assert len(certified) == sum(g.n_edges for g in graphs) == 236
 
@@ -722,25 +733,63 @@ def test_resolve_returns_only_an_isomorphic_class(corpus_algebras, monkeypatch):
 
     U = [uniserial(a) for a in range(3)]
     assert not any(iso_test(X, Y).isomorphic for X, Y in itertools.combinations(U, 2))
-    U0, U1, U2 = U
-    store = _ClassStore([U0, U1])
-    assert store.resolve(U2) is None
-    for copy, K in ((uniserial(0, scale=5), U0), (uniserial(1, scale=7), U1)):
-        assert store.resolve(copy) is K and _indec_iso(copy, K) is not None
+    # P(v) is uniserial of length 4 with socle S(v): coker(S(v) -> P(v)) is
+    # the uniserial of length 3 with top v, resolved without building it
+    stored = [uniserial(0, scale=5), uniserial(1, scale=7)]
+    store, found = _ClassStore(stored), []
+    for v in range(3):
+        X, T = simple(A, v), projective(A, v)
+        assert len(store.hom(X, T)) == 1
+        C, _ = cokernel(store.hom(X, T)[0])
+        K = store.cokernel_class(X, [T], [(0, 0)], C.dims)
+        assert [S is K for S in stored] == [iso_test(C, S).isomorphic for S in stored]
+        assert _indec_iso(C, K) is not None if K else iso_test(C, U[2]).isomorphic
+        found.append(next((k for k, S in enumerate(stored) if S is K), None))
+    assert sorted(found, key=str) == [0, 1, None]
 
-    # every answer of every enumeration's store, checked by iso_test
-    resolve, answers = _ClassStore.resolve, Counter()
+    # every answer of every enumeration's store, checked by iso_test on the
+    # cokernel built here
+    resolve, answers = _ClassStore.cokernel_class, Counter()
 
-    def checked(self, C):
-        stored = list(self.classes.get(C.dims, ()))
-        K = resolve(self, C)
+    def checked(self, X, targets, kept, dims):
+        K = resolve(self, X, targets, kept, dims)
+        ds = direct_sum(X.algebra, [targets[i] for i, _ in kept])
+        f = zero_map(X, ds.rep)
+        for (i, c), incl in zip(kept, ds.inclusions):
+            f = f.add(incl.compose(self.hom(X, targets[i])[c]))
+        C, _ = cokernel(f)
+        assert C.dims == dims
+        stored = list(self.classes.get(dims, ()))
         answers[K is None] += 1
         assert [iso_test(C, S).isomorphic for S in stored] == [S is K for S in stored]
         return K
 
-    monkeypatch.setattr(_ClassStore, "resolve", checked)
+    monkeypatch.setattr(_ClassStore, "cokernel_class", checked)
     _down_edge_graphs(corpus_algebras)
     assert answers[True] and answers[False]
+
+
+@pytest.mark.parametrize("name", ["line4", "preproj3", "nakayama3_4", "line3_q"])
+def test_each_composition_fact_is_computed_once(name, monkeypatch):
+    # u.g for u in Hom(T, K), g in Hom(X, T) depends on the class triple only
+    composed = []
+    compose = taubound.reps.ModMap.compose
+
+    def recording(self, other):
+        composed.append((self, other))
+        return compose(self, other)
+
+    monkeypatch.setattr(taubound.reps.ModMap, "compose", recording)
+    g = enumerate_stt(parse_algebra_text(LADDER[name]))
+    facts = g._store._facts
+    triples = [key[1:] for key in facts if key[0] == "comps"]
+    assert triples
+    pairs = Counter((id(u), id(h)) for u, h in composed)
+    for X, T, K in triples:
+        assert [len(row) for row in facts["comps", X, T, K]] == \
+            [len(facts["hom", X, T])] * len(facts["hom", T, K])
+        assert all(pairs[id(u), id(h)] == 1
+                   for u in facts["hom", T, K] for h in facts["hom", X, T]), (X.dims, T.dims)
 
 
 def test_exchange_refusals_keep_their_messages(line3):
@@ -761,6 +810,17 @@ def test_exchange_refusals_keep_their_messages(line3):
                              r"failed certification: the exchange cokernel decomposed into "
                              r"\(1, 1\) copies instead of one indecomposable$"):
         mutate_down(SttPair(B, (simple(B, 1), names["M(1,1,1)"]), ()), 0)
+
+
+def test_a_new_cokernel_is_checked_against_its_predicted_dimensions(line3, monkeypatch):
+    # with every rank read as 0 no stored class matches, so each cokernel is
+    # built, and its dimension vector refutes the prediction dim Y
+    monkeypatch.setattr(taubound.mutation, "rank", lambda mat: 0)
+    with pytest.raises(CertificationError,
+                       match=r"^at node P1\+P2\+P3, summand P2: .*: the exchange cokernel "
+                             r"\(1,0,0\) does not have the predicted dimension vector "
+                             r"\(1, 1, 1\)$"):
+        enumerate_stt(line3)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from taubound.reports import (canonical_json, derdim_bound_report,
                               export_graph_dot, export_graph_json,
                               graph_reports, quotient_by_annihilator,
                               tilting_proxy_check)
-from taubound.reps import (annihilator, annihilator_dim, direct_sum, projective,
+from taubound.reps import (_action_matrix, annihilator, annihilator_dim, direct_sum,
+                           path_matrix, projective,
                            restrict_to_quotient, simple, zero_rep)
 from taubound.tau import _classify_valid_pair, classify_pair, validate_stt_pair
 
@@ -507,6 +508,76 @@ def test_the_dimension_of_an_annihilator_is_read_off_a_rank(corpus_algebras):
                 seen += 1
     # the zero and proper-support nodes of the corpus and ladder graphs
     assert seen == 86
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_class_pair_hom_basis_is_computed_once(n, monkeypatch):
+    # naming a new class reads the store's Hom bases, so neither naming nor
+    # a later report recomputes Hom(C, K) for a stored K of C's dimensions
+    homs = []
+
+    def recording(original):
+        def recorded(M, N):
+            homs.append((id(M), id(N)))
+            return original(M, N)
+        return recorded
+
+    _patch_everywhere(monkeypatch, "reps", "hom_basis", recording)
+    A = parse_algebra_text(perfbench_algebras().preprojective_text(
+        f"preproj{n}", n, "Fp 32003"))
+    graph, _ = graph_reports(A)
+    classes = [K for ks in graph._store.classes.values() for K in ks]
+    assert any(len(ks) > 1 for ks in graph._store.classes.values())
+    ids = {id(K) for K in classes}
+    pairs = [(M, N) for M, N in homs if M in ids and N in ids]
+    assert pairs and len(pairs) == len(set(pairs))
+
+
+def test_the_loewy_length_of_the_algebra_is_computed_once(monkeypatch):
+    calls = _count_everywhere(monkeypatch, "algebra", "loewy_length")
+    A = parse_algebra_text(perfbench_algebras().nakayama_text("nakayama3_4", 3, 4, "Fp 32003"))
+    graph, reports = graph_reports(A)
+    assert len(calls) == 1 and reports[0].loewy_rhs == 3
+    assert {r.lhs.provenance for r in reports if r.lhs} == {"loewy-bound"}
+    calls.clear()
+    rep = derdim_bound_report(A, [projective(A, v) for v in range(3)])
+    assert len(calls) == 1 and rep.lhs.provenance == "loewy-bound"
+
+
+def _action_matrix_from_identity(M):
+    """The action matrix with each basis path's action built by
+    ``path_matrix``, one product per arrow from the identity."""
+    A, F = M.algebra, M.algebra.field
+    offsets, total = {}, 0
+    for i in range(A.n_vertices):
+        for j in range(A.n_vertices):
+            offsets[i, j] = total
+            total += M.dims[j] * M.dims[i]
+    rows = [[F.zero] * A.dim for _ in range(total)]
+    for b in range(A.dim):
+        act = path_matrix(M, A.basis[b])
+        base = offsets[A.block_of[b]]
+        for r in range(act.nrows):
+            for c in range(act.ncols):
+                rows[base + r * act.ncols + c][b] = act.entry(r, c)
+    return tuple(map(tuple, rows))
+
+
+def test_action_matrix_extends_each_path_by_one_arrow(corpus_algebras):
+    bench = perfbench_algebras()
+    algebras = list(corpus_algebras.values()) + [
+        parse_algebra_text(text) for _, text, _ in bench.LADDER_FP + bench.LADDER_Q]
+    classes = nodes = 0
+    for A in algebras:
+        graph = enumerate_stt(A)
+        for K in (K for ks in graph._store.classes.values() for K in ks):
+            assert _action_matrix(K).rows == _action_matrix_from_identity(K), A.name
+            classes += 1
+        for node in graph.nodes:
+            M = direct_sum(A, list(node.pair.summands)).rep
+            assert _action_matrix(M).rows == _action_matrix_from_identity(M), node.key
+            nodes += 1
+    assert (classes, nodes) == (59, 148)
 
 
 def test_inapplicable_report_skips_the_ambient_estimate(arrow_loop, monkeypatch):
