@@ -290,14 +290,14 @@ def estimate_from_layers(name: str, dim: int, n_vertices: int,
     return candidates[0]
 
 
-def derdim_estimate(B: BoundQuiverAlgebra, registry: Optional[DerdimRegistry] = None,
-                    *, _loewy: Optional[int] = None) -> DerdimEstimate:
-    """Best available estimate of derdim(mod B); ``_loewy`` is B's Loewy length, if known."""
+def derdim_estimate(B: BoundQuiverAlgebra,
+                    registry: Optional[DerdimRegistry] = None) -> DerdimEstimate:
+    """Best available estimate of the derived (Rouquier) dimension of mod B."""
     if B.is_zero_algebra:
         raise InputError("derdim_estimate: the zero algebra has no estimate")
     return estimate_from_layers(B.name, B.dim, B.n_vertices,
                                 [(a.source, a.target) for a in B.quiver.arrows],
-                                lambda: _loewy or loewy_length(B), registry)
+                                lambda: loewy_length(B), registry)
 
 
 def merge_estimates(a: DerdimEstimate, b: DerdimEstimate) -> DerdimEstimate:

@@ -218,7 +218,8 @@ def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 
 def rank(mat: Mat) -> int:
-    return len(rref(mat)[1]) if mat.nrows and mat.ncols else 0
+    _, pivots = rref(mat)
+    return len(pivots)
 
 
 def nullspace(mat: Mat) -> list[tuple]:

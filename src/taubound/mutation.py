@@ -76,7 +76,7 @@ def fac_contains(generators: Sequence[Rep], X: Rep, *, _store=None) -> bool:
 # Minimal left approximations
 
 
-def minimal_left_approximation(X: Rep, targets: Sequence[Rep], *, _store=None):
+def minimal_left_approximation(X: Rep, targets: Sequence[Rep]):
     """A certified minimal left approximation of X into add(targets), which
     must be pairwise non-isomorphic indecomposables with split local End;
     other targets raise CertificationError.  Returns (f, kept) where kept
@@ -89,7 +89,7 @@ def minimal_left_approximation(X: Rep, targets: Sequence[Rep], *, _store=None):
     copies of T_i, so φ.f = f gives g_c = Σ_d μ_cd g_d modulo the radical
     compositions; the kept g_c are independent there, so μ = 1 and φ is a
     unit, id plus a radical element."""
-    store = _ClassStore(()) if _store is None else _store
+    store = _ClassStore(())
     kept = _left_approximation(X, targets, store)
     return (_approximation_map(X, targets, kept, store),
             [(i, store.hom(X, targets[i])[c]) for i, c in kept])

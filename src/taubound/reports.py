@@ -195,11 +195,10 @@ def derdim_bound_report(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
     iso = IsoRegistry(algebra, seed=seed)
     names, pair = _sorted_pair([compact_label(iso.name_of(s)) for s in summands],
                                SttPair(algebra, tuple(summands), tuple(support)))
-    loewy = loewy_length(algebra)
     lhs = (None if classification in ("zero", "proper-support")
-           else derdim_estimate(algebra, registry, _loewy=loewy))
+           else derdim_estimate(algebra, registry))
     return _node_report(GraphNode(pair_key(names), pair, names, classification),
-                        registry, loewy - 1, lhs)
+                        registry, loewy_length(algebra) - 1, lhs)
 
 
 def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
@@ -321,9 +320,9 @@ def graph_reports(algebra: BoundQuiverAlgebra,
     come validated, named and classified, their summands the class objects
     of the enumeration's class store."""
     graph = enumerate_stt(algebra, max_nodes=max_nodes, seed=seed)
-    loewy = loewy_length(algebra)
-    lhs = derdim_estimate(algebra, registry, _loewy=loewy)
-    reports = [_node_report(node, registry, loewy - 1, lhs, graph._store)
+    loewy_rhs = loewy_length(algebra) - 1
+    lhs = derdim_estimate(algebra, registry)
+    reports = [_node_report(node, registry, loewy_rhs, lhs, graph._store)
                for node in graph.nodes]
     return graph, reports
 

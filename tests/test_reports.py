@@ -533,17 +533,6 @@ def test_each_class_pair_hom_basis_is_computed_once(n, monkeypatch):
     assert pairs and len(pairs) == len(set(pairs))
 
 
-def test_the_loewy_length_of_the_algebra_is_computed_once(monkeypatch):
-    calls = _count_everywhere(monkeypatch, "algebra", "loewy_length")
-    A = parse_algebra_text(perfbench_algebras().nakayama_text("nakayama3_4", 3, 4, "Fp 32003"))
-    graph, reports = graph_reports(A)
-    assert len(calls) == 1 and reports[0].loewy_rhs == 3
-    assert {r.lhs.provenance for r in reports if r.lhs} == {"loewy-bound"}
-    calls.clear()
-    rep = derdim_bound_report(A, [projective(A, v) for v in range(3)])
-    assert len(calls) == 1 and rep.lhs.provenance == "loewy-bound"
-
-
 def _action_matrix_from_identity(M):
     """The action matrix with each basis path's action built by
     ``path_matrix``, one product per arrow from the identity."""
