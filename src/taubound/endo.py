@@ -59,6 +59,8 @@ def endo_algebra(summands: Sequence[Rep],
     for s in summands:
         if s.algebra is not A:
             raise InputError(f"endo_algebra: summands over {A.name} and {s.algebra.name}")
+    if labels is not None and len(labels) != t:
+        raise InputError(f"endo_algebra: {len(labels)} labels for {t} summands")
     F = A.field
     if _store is None:
         # the presentation below reads off local blocks, so repeats are rejected

@@ -25,14 +25,16 @@ indecomposable, new, and keep the module tau-rigid over A, which passes
 to the support quotient (Lemma 2.1).  The remaining summands R are
 already tau-rigid together, certified where their pair was reached, so
 only the new blocks Hom(C, tau C), Hom(C, tau R) and Hom(R, tau C) are
-checked.  By Thm 2.18 both always hold.  An enumeration, or one mutation,
-keeps a store of the summand classes met: one module per class, whose tau,
-Hom bases, class-triple compositions, λ_b and name are computed once.  A
-step reads dim C = dim Y - rank f, and C ~= K for a stored K off stored
-Homs (``_ClassStore``), with Y and C unbuilt; it goes on with K.  Only a
-class not stored is built as coker f, certified indecomposable by its λ_b
-(End(C) is local with residue field k) and joins the store, new to every
-remaining summand; ``decompose`` only words a refusal.
+checked.  By Thm 2.18 both always hold.  An enumeration, one mutation or
+one single-pair report keeps a store of the summand classes met: one module
+per class, whose tau, Hom bases, class-triple compositions, λ_b and name
+are computed once; a name comes from the stored Hom bases alone.  A step
+reads dim C = dim Y - rank f, f's blocks the kept homs' blocks stacked, and
+C ~= K for a stored K off stored Homs (``_ClassStore``), with Y and C
+unbuilt; it goes on with K.  Only a class not stored is built as coker f,
+certified indecomposable by its λ_b (End(C) is local with residue field k)
+and joins the store, new to every remaining summand; ``decompose`` only
+words a refusal.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .decompose import _indec_iso, _local_or_split, decompose, iso_test
 from .exceptions import CertificationError, InputError
 from .linalg import Mat, Span, hstack, nullspace, rank
 from .reps import (ModMap, Rep, cokernel, direct_sum, dual, hom_basis, linear_combination,
-                   projective, simple, zero_map)
+                   projective, simple)
 from .tau import SttPair, _classify_valid_pair, tau, tau_data, validate_stt_pair
 
 
@@ -127,13 +129,17 @@ def _left_approximation(X: Rep, targets: Sequence[Rep], store) -> list[tuple[int
     return kept
 
 
+def _stacked_blocks(X: Rep, targets: Sequence[Rep], kept, store) -> list[Mat]:
+    """f's block at each vertex: the kept homs' blocks there, stacked in order."""
+    rows = [[r for i, c in kept for r in store.hom(X, targets[i])[c].blocks[v].rows]
+            for v in range(len(X.dims))]
+    return [Mat._make(X.algebra.field, len(rs), d, tuple(rs)) for rs, d in zip(rows, X.dims)]
+
+
 def _approximation_map(X: Rep, targets: Sequence[Rep], kept, store) -> ModMap:
     """f: X -> Y, Y the direct sum of the kept copies' targets in order."""
-    ds = direct_sum(X.algebra, [targets[i] for i, _ in kept])
-    f = zero_map(X, ds.rep)
-    for (i, c), incl in zip(kept, ds.inclusions):
-        f = f.add(incl.compose(store.hom(X, targets[i])[c]))
-    return f
+    Y = direct_sum(X.algebra, [targets[i] for i, _ in kept]).rep
+    return ModMap(X, Y, _stacked_blocks(X, targets, kept, store), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +233,8 @@ def mutate_down(pair: SttPair, slot: int, seed: int = 0, *, _store=None) -> Muta
 def _exchange_down(pair: SttPair, X: Rep, rest: list[Rep], seed: int, store) -> MutationStep:
     A = pair.algebra
     kept = _left_approximation(X, rest, store)
-    # dim C_v = dim Y_v - rank f_v, f_v the kept blocks g_c at v stacked
-    dims = tuple(sum(rest[i].dims[v] for i, _ in kept) - rank(Mat.from_rows(A.field, [
-        r for i, c in kept for r in store.hom(X, rest[i])[c].blocks[v].rows]))
-        for v in range(A.n_vertices))
+    # dim C_v = dim Y_v - rank f_v
+    dims = tuple(f_v.nrows - rank(f_v) for f_v in _stacked_blocks(X, rest, kept, store))
     if not any(dims):
         # rest is tau-rigid with n - |support| - 1 indecomposable summands; two
         # candidates would keep it so over n - |support| - 2 vertices (AIR 2.1)
@@ -276,41 +280,35 @@ class IsoRegistry:
     get their standard names, anything else is named by dimension vector
     with a disambiguating suffix.  Most names go to indecomposable summands,
     but the ``tau`` subcommand also names tau(M), which need not be
-    indecomposable."""
+    indecomposable.  P(v) has top S(v), so it is isomorphic to no P(w) or
+    S(w) for w != v, and to S(v) exactly when it is simple, that is when the
+    two share a dimension vector: then the class is named P(v)."""
 
     def __init__(self, algebra: BoundQuiverAlgebra, seed: int = 0):
         self.algebra = algebra
         self.seed = seed
-        self._entries: list[tuple[Rep, str]] = []
-        self._names: set[str] = set()
-        for v in range(algebra.n_vertices):
-            lab = algebra.quiver.vertices[v]
-            self._intern(projective(algebra, v), f"P({lab})", hom_basis)
-            self._intern(simple(algebra, v), f"S({lab})", hom_basis)
-
-    def _intern(self, rep: Rep, name: Optional[str], hom=None) -> str:
-        """The name of rep's class; an unseen class is recorded under
-        ``name``, or under a fresh dimension-vector name when that is None.
-        A certified indecomposable rep is matched by ``hom``'s bases alone."""
-        for rep0, name0 in self._entries:
-            if rep0.dims == rep.dims and (
-                    _indec_iso(rep, rep0, hom) is not None if hom
-                    else iso_test(rep, rep0, seed=self.seed).isomorphic):
-                return name0
-        if name is None:
-            base = "M(" + ",".join(str(d) for d in rep.dims) + ")"
-            name = base
-            k = 1
-            while name in self._names:
-                k += 1
-                name = f"{base}#{k}"
-        assert name not in self._names
-        self._entries.append((rep, name))
-        self._names.add(name)
-        return name
+        self._entries: dict[str, Rep] = {}   # name -> module, in order of naming
+        for v, lab in enumerate(algebra.quiver.vertices):
+            P, S = projective(algebra, v), simple(algebra, v)
+            self._entries[f"P({lab})"] = P
+            if S.dims != P.dims:
+                self._entries[f"S({lab})"] = S
 
     def name_of(self, rep: Rep, *, _hom=None) -> str:
-        return self._intern(rep, None, _hom)
+        """The name of rep's class, a fresh one for an unseen class.  A
+        certified indecomposable rep is matched by ``_hom``'s bases alone."""
+        for name, rep0 in self._entries.items():
+            if rep0.dims == rep.dims and (
+                    _indec_iso(rep, rep0, _hom) is not None if _hom
+                    else iso_test(rep, rep0, seed=self.seed).isomorphic):
+                return name
+        base = name = "M(" + ",".join(str(d) for d in rep.dims) + ")"
+        k = 1
+        while name in self._entries:
+            k += 1
+            name = f"{base}#{k}"
+        self._entries[name] = rep
+        return name
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +394,10 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
     store = _ClassStore(projs, registry or IsoRegistry(algebra, seed=seed))
     names, root = _sorted_pair([compact_label(store.name(s)) for s in projs],
                                SttPair(algebra, tuple(projs), ()))
-    root_key = pair_key(names)
-    order: list[str] = [root_key]
-    node_pairs: dict[str, tuple[SttPair, tuple[str, ...]]] = {root_key: (root, names)}
+    found = [(pair_key(names), root, names)]   # breadth first: walked as it grows
+    keys = {found[0][0]}
     edges: list[GraphEdge] = []
-    queue = [root_key]
-    while queue:
-        key = queue.pop(0)
-        pair, names = node_pairs[key]
+    for key, pair, names in found:
         for slot in range(len(pair.summands)):
             try:
                 step = mutate_down(pair, slot, seed=seed, _store=store)
@@ -423,25 +417,21 @@ def enumerate_stt(algebra: BoundQuiverAlgebra, max_nodes: int = 4096,
                 new_names += (added,)
             new_names, new_pair = _sorted_pair(new_names, step.pair)
             new_key = pair_key(new_names)
-            if new_key not in node_pairs:
-                if len(node_pairs) >= max_nodes:
+            if new_key not in keys:
+                if len(keys) >= max_nodes:
                     raise CertificationError(
                         f"enumeration budget exceeded: more than {max_nodes} "
                         f"nodes; rerun with a larger --max-nodes"
                     )
-                node_pairs[new_key] = (new_pair, new_names)
-                order.append(new_key)
-                queue.append(new_key)
+                keys.add(new_key)
+                found.append((new_key, new_pair, new_names))
             edges.append(GraphEdge(key, new_key, names[slot], added))
 
     # every node is already validated: the root by construction, the others
     # by the certificate of the mutate_down that reached them
-    nodes = []
-    for key in order:
-        pair, names = node_pairs[key]
-        cls = _classify_valid_pair(algebra, pair.summands, pair.support)
-        nodes.append(GraphNode(key, pair, names, cls))
-    return ExchangeGraph(algebra, tuple(nodes), tuple(edges), store)
+    return ExchangeGraph(algebra, tuple(
+        GraphNode(key, pair, names, _classify_valid_pair(algebra, pair.summands, pair.support))
+        for key, pair, names in found), tuple(edges), store)
 
 
 def mutate(pair: SttPair, slot: int, seed: int = 0) -> SttPair:

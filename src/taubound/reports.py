@@ -22,7 +22,9 @@ C = A/ann has dim A - dim ann, the arrows u -> v of C number
 dim e_u(rad A)e_v - dim e_u(rad^2 A + ann)e_v, where rad^2 A is the span of
 the basis paths of length >= 2, and LL(C) = LL(M), as M is faithful over C.
 C is estimated without the registry, as every annihilator quotient is
-named ``A/I``.  A report never silently repairs an inconsistency: two
+named ``A/I``.  A single pair's validation certifies its summands
+indecomposable and pairwise non-isomorphic, so, as an enumeration's nodes
+do, they are named and give End(M) through a class store.  A report never silently repairs an inconsistency: two
 estimates of one quantity that contradict each other raise InputError
 when a registry entry is involved, and CertificationError otherwise.
 """
@@ -39,10 +41,10 @@ from .endo import (DerdimEstimate, DerdimRegistry, derdim_estimate,
                    endo_algebra, endo_estimate, estimate_from_layers,
                    merge_estimates)
 from .exceptions import CertificationError, InputError
-from .linalg import Span, unit_vector
-from .mutation import (ExchangeGraph, GraphNode, IsoRegistry, _sorted_pair,
+from .linalg import Span
+from .mutation import (ExchangeGraph, GraphNode, IsoRegistry, _ClassStore, _sorted_pair,
                        compact_label, enumerate_stt, pair_key)
-from .reps import (Rep, annihilator, annihilator_dim, direct_sum, ext1_dim,
+from .reps import (Rep, _layer_walk, annihilator, annihilator_dim, direct_sum, ext1_dim,
                    projective_dimension, restrict_to_quotient)
 from .tau import SttPair, _classify_valid_pair, validate_stt_pair
 
@@ -181,33 +183,30 @@ def derdim_bound_report(algebra: BoundQuiverAlgebra, summands: Sequence[Rep],
     """Verify the bound for one pair.  With support=None the support is
     inferred as the set of vertices where the module vanishes."""
     if support is None:
-        if summands:
-            M0 = direct_sum(algebra, list(summands)).rep
-            support = [v for v in range(algebra.n_vertices) if M0.dims[v] == 0]
-        else:
-            support = list(range(algebra.n_vertices))
+        if other := [s.algebra.name for s in summands if s.algebra is not algebra]:
+            raise InputError(f"direct_sum: summand over {other[0]}, not {algebra.name}")
+        support = [v for v in range(algebra.n_vertices) if not any(s.dims[v] for s in summands)]
     val = validate_stt_pair(algebra, summands, support, seed=seed)
     if not val.ok:
         raise InputError("not a support tau-tilting pair: " + "; ".join(val.reasons))
     if val.summand_classes != len(summands):
         raise InputError("cannot report on a pair that lists a decomposable summand")
     classification = _classify_valid_pair(algebra, summands, support)
-    iso = IsoRegistry(algebra, seed=seed)
-    names, pair = _sorted_pair([compact_label(iso.name_of(s)) for s in summands],
+    store = _ClassStore(summands, IsoRegistry(algebra, seed=seed))
+    names, pair = _sorted_pair([compact_label(store.name(s)) for s in summands],
                                SttPair(algebra, tuple(summands), tuple(support)))
     lhs = (None if classification in ("zero", "proper-support")
            else derdim_estimate(algebra, registry))
     return _node_report(GraphNode(pair_key(names), pair, names, classification),
-                        registry, loewy_length(algebra) - 1, lhs)
+                        registry, loewy_length(algebra) - 1, lhs, store)
 
 
 def _node_report(node: GraphNode, registry: Optional[DerdimRegistry],
-                 loewy_rhs: int, lhs: Optional[DerdimEstimate],
-                 store=None) -> BoundReport:
+                 loewy_rhs: int, lhs: Optional[DerdimEstimate], store) -> BoundReport:
     """The report on a pair that is already validated, named (summands in
     name order) and classified; ``loewy_rhs`` is Loewy length minus one,
     ``lhs`` the estimate of derdim(A), None when the pair is inapplicable,
-    and ``store`` the class store of the enumeration that reached the node."""
+    and ``store`` a class store that holds the summands."""
     algebra, key, classification = node.pair.algebra, node.key, node.classification
     summands, names = list(node.pair.summands), list(node.summand_names)
 
@@ -296,21 +295,8 @@ def _quotient_estimate(name: str, M: Rep, ann: Ideal) -> DerdimEstimate:
         for x in ann.basis_vectors():
             span.add([x[i] for i in ks])
         kept += [block] * (len(ks) - span.dim)
-    return estimate_from_layers(name, A.dim - ann.dim, A.n_vertices, kept,
-                                lambda: _loewy_length(M))
-
-
-def _loewy_length(M: Rep) -> int:
-    """The least k with M rad^k = 0: M, pushed along the arrows k times."""
-    F, k = M.algebra.field, 0
-    layer = [[unit_vector(F, d, i) for i in range(d)] for d in M.dims]
-    while any(layer):
-        spans = [Span(F, d) for d in M.dims]
-        for a, mat in zip(M.algebra.quiver.arrows, M.maps):
-            for x in layer[a.source]:
-                spans[a.target].add(mat.apply(x))
-        layer, k = [span.basis() for span in spans], k + 1
-    return k
+    return estimate_from_layers(name, A.dim - ann.dim, A.n_vertices, kept, lambda: _layer_walk(
+        M, [(u, v, mat) for (u, v), mat in zip(arrows, M.maps)]))   # LL(M): M along the arrows
 
 
 def graph_reports(algebra: BoundQuiverAlgebra,

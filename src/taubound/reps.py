@@ -291,20 +291,26 @@ def acts_nilpotently(M: Rep, maps: Sequence[ModMap]) -> bool:
     dim M of the maps vanishes, or stalls at a nonzero space that every
     product keeps, which refutes nilpotency.  Exact in every characteristic.
     """
-    F = M.algebra.field
+    moves = [(v, v, blk) for s in maps for v, blk in enumerate(s.blocks)]
+    return _layer_walk(M, moves) is not None
+
+
+def _layer_walk(M: Rep, moves: Sequence[tuple[int, int, Mat]]) -> Optional[int]:
+    """Push V_0 = M along the (source vertex, target vertex, matrix)
+    ``moves``, V_{j+1} = span{mat(x) : x in V_j at the source}, until it
+    is 0: the number of pushes, or None when a push does not shrink it."""
+    F, size, k = M.algebra.field, M.dim_total, 0
     layer = [[unit_vector(F, d, i) for i in range(d)] for d in M.dims]
-    size = M.dim_total
     while size:
         spans = [Span(F, d) for d in M.dims]
-        for s in maps:
-            for v, blk in enumerate(s.blocks):
-                for x in layer[v]:
-                    spans[v].add(blk.apply(x))
+        for u, v, mat in moves:
+            for x in layer[u]:
+                spans[v].add(mat.apply(x))
         if sum(sp.dim for sp in spans) == size:
-            return False
+            return None
         layer = [sp.basis() for sp in spans]
-        size = sum(len(b) for b in layer)
-    return True
+        size, k = sum(len(b) for b in layer), k + 1
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,14 @@ def test_endo_rejects_summands_over_two_algebras(line2, line3):
         endo_algebra([projective(line2, 0), projective(line3, 0)])
 
 
+@pytest.mark.parametrize("labels", [["x"], ["x", "y", "z"]])
+def test_endo_rejects_a_label_list_of_the_wrong_length(arrow_loop, labels):
+    # one label per summand, refused before any Hom basis is computed
+    summands = [projective(arrow_loop, 0), simple(arrow_loop, 0)]
+    with pytest.raises(InputError, match=f"endo_algebra: {len(labels)} labels for 2 summands"):
+        endo_algebra(summands, labels=labels)
+
+
 def test_non_split_block_is_rejected():
     # over F_3 the centralizer of the companion matrix of x^2 + 1 is the
     # field with nine elements: a local block that does not split

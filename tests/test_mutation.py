@@ -26,7 +26,8 @@ from taubound.reps import (Rep, cokernel, direct_sum, dual, hom_basis,
 from taubound.reports import export_graph_json
 from taubound.tau import tau, validate_stt_pair
 from conftest import corpus_path, perfbench_algebras
-from oracles import _certify_left_minimal
+from oracles import (ReferenceRegistry, _certify_left_minimal,
+                     approximation_map_from_inclusions)
 
 
 _BENCH = perfbench_algebras()
@@ -411,6 +412,48 @@ def test_free_pairs_are_valid(corpus_algebras):
         assert val.ok and val.summand_classes == A.n_vertices, A.name
 
 
+def _registry_algebras(corpus_algebras):
+    return list(corpus_algebras.values()) + [
+        parse_algebra_text(text) for _, text, _ in
+        _BENCH.LADDER_FP + _BENCH.LADDER_Q + _BENCH.PAIR_QUERIES]
+
+
+def test_the_registry_names_agree_with_naming_by_iso_test(corpus_algebras):
+    # P(v) and S(v) are recorded by their tops, with no iso test; the
+    # reference records them, and matches every module, by iso_test
+    for A in _registry_algebras(corpus_algebras):
+        reg, ref = IsoRegistry(A), ReferenceRegistry(A)
+        for v in range(A.n_vertices):
+            for M in (projective(A, v), simple(A, v)):
+                assert reg.name_of(M) == ref.name_of(M), (A.name, v)
+        # the graph's summands, matched by their Hom bases, and their
+        # translates, which may be zero or decomposable, matched by iso_test
+        for node in enumerate_stt(A).nodes:
+            for X in node.pair.summands:
+                assert reg.name_of(X, _hom=hom_basis) == ref.name_of(X), (A.name, node.key)
+                assert reg.name_of(tau(X)) == ref.name_of(tau(X)), (A.name, node.key)
+
+
+def test_the_registry_records_projectives_and_simples_without_hom_bases(corpus_algebras,
+                                                                        monkeypatch):
+    calls = []
+
+    def counting(original):
+        def counted(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+        return counted
+
+    for module in map(importlib.import_module, ("taubound.reps", "taubound.decompose",
+                                                "taubound.mutation")):
+        for name in ("hom_basis", "iso_test", "_indec_iso"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    for A in _registry_algebras(corpus_algebras):
+        IsoRegistry(A)
+    assert calls == []
+
+
 def test_enumeration_names_only_the_new_summands(corpus_algebras, monkeypatch):
     named, steps = [], []
     name_of, down = IsoRegistry.name_of, taubound.mutation.mutate_down
@@ -690,6 +733,26 @@ def test_every_approximation_is_left_minimal(corpus_algebras, monkeypatch):
     monkeypatch.setattr(taubound.mutation, "_left_approximation", checked)
     graphs = _down_edge_graphs(corpus_algebras)
     assert len(certified) == sum(g.n_edges for g in graphs) == 236
+
+
+def test_the_stacked_approximation_map_is_the_sum_of_its_inclusions(corpus_algebras,
+                                                                     monkeypatch):
+    # f's blocks stack the kept homs; the oracle composes each with its
+    # inclusion into the direct sum and adds, on every down edge
+    approximate, checked = taubound.mutation._left_approximation, []
+
+    def compare(X, targets, store):
+        kept = approximate(X, targets, store)
+        f = taubound.mutation._approximation_map(X, targets, kept, store)
+        ref = approximation_map_from_inclusions(X, [store.hom(X, targets[i])[c]
+                                                    for i, c in kept])
+        assert f == ref and f.target.maps == ref.target.maps
+        checked.append(f)
+        return kept
+
+    monkeypatch.setattr(taubound.mutation, "_left_approximation", compare)
+    graphs = _down_edge_graphs(corpus_algebras)
+    assert len(checked) == sum(g.n_edges for g in graphs) == 236
 
 
 def test_every_stored_class_is_indecomposable(corpus_algebras):

@@ -533,6 +533,57 @@ def test_each_class_pair_hom_basis_is_computed_once(n, monkeypatch):
     assert pairs and len(pairs) == len(set(pairs))
 
 
+def test_a_single_pair_report_certifies_each_fact_once(corpus_algebras, monkeypatch):
+    # validation certifies the summands indecomposable and pairwise
+    # non-isomorphic; naming and End(M) then read one class store
+    inside = []
+
+    def marking(original):
+        def marked(*args, **kwargs):
+            inside.append(True)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+        return marked
+
+    def recording(calls):
+        def make(original):
+            def recorded(*args, **kwargs):
+                calls.append((args, bool(inside)))
+                return original(*args, **kwargs)
+            return recorded
+        return make
+
+    _patch_everywhere(monkeypatch, "tau", "validate_stt_pair", marking)
+    calls = {name: [] for name in ("iso_test", "decompose", "hom_basis")}
+    for module, name in [("decompose", "iso_test"), ("decompose", "decompose"),
+                         ("reps", "hom_basis")]:
+        _patch_everywhere(monkeypatch, module, name, recording(calls[name]))
+    bench = perfbench_algebras()
+    algebras = list(corpus_algebras.values()) + [
+        parse_algebra_text(text, path=name) for name, text, _ in bench.PAIR_QUERIES]
+    reports = 0
+    for A in algebras:
+        graph, graph_reps = graph_reports(A)
+        for node, expected in zip(graph.nodes, graph_reps):
+            for seen in calls.values():
+                seen.clear()
+            summands = list(node.pair.summands)
+            report = derdim_bound_report(A, summands)
+            assert report.to_json_dict() == expected.to_json_dict(), (A.name, node.key)
+            assert not calls["iso_test"], (A.name, node.key)
+            assert [args[0] for args, _ in calls["decompose"]] == summands
+            assert all(within for _, within in calls["decompose"])
+            # outside validation, each Hom basis between two summands once
+            ids = {id(s) for s in summands}
+            pairs = [(id(args[0]), id(args[1])) for args, within in calls["hom_basis"]
+                     if not within and id(args[0]) in ids and id(args[1]) in ids]
+            assert len(pairs) == len(set(pairs)), (A.name, node.key)
+            reports += 1
+    assert reports == 5 + 5 + 14 + 4 + 14 + 6 + 6 + 5
+
+
 def _action_matrix_from_identity(M):
     """The action matrix with each basis path's action built by
     ``path_matrix``, one product per arrow from the identity."""
@@ -582,6 +633,14 @@ def test_report_refuses_a_decomposable_listed_summand(arrow_loop):
     both = direct_sum(A, [projective(A, 0), projective(A, 1)]).rep
     with pytest.raises(InputError, match="decomposable"):
         derdim_bound_report(A, [both])
+
+
+def test_report_refuses_a_summand_over_another_algebra(line2, line3):
+    # the support is inferred only for summands over the algebra itself
+    with pytest.raises(InputError, match="summand over line3, not line2"):
+        derdim_bound_report(line2, [projective(line3, 0)])
+    with pytest.raises(InputError, match="summand over line2, not line3"):
+        derdim_bound_report(line3, [projective(line2, 0)])
 
 
 def line_text(n):

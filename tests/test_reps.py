@@ -14,10 +14,10 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import corpus_path
-from taubound import InputError
-from taubound.algebra import radical, factor_algebra
-from taubound.reps import (acts_nilpotently, annihilator, cokernel, direct_sum,
+from conftest import corpus_path, perfbench_algebras
+from taubound import InputError, parse_algebra_text
+from taubound.algebra import factor_algebra, loewy_length, radical
+from taubound.reps import (_layer_walk, acts_nilpotently, annihilator, cokernel, direct_sum,
                            ext1_dim, global_dimension, hom_basis, hom_dim,
                            identity_map, injective_rep,
                            is_faithful, kernel,
@@ -322,3 +322,18 @@ def test_acts_nilpotently_refuses_the_identity_and_a_non_nilpotent_pair(line2):
     e21 = ds.inclusions[1].compose(ds.projections[0])
     assert acts_nilpotently(ds.rep, [e12])
     assert not acts_nilpotently(ds.rep, [e12, e21])
+
+
+def test_the_layer_walk_along_the_arrows_gives_the_loewy_length(corpus_algebras):
+    # A_A pushed along the arrows k times is A rad^k, so the walk stops
+    # after LL(A) pushes; loewy_length reads the chain of radical powers
+    bench = perfbench_algebras()
+    algebras = list(corpus_algebras.values()) + [
+        parse_algebra_text(text) for _, text, _ in bench.LADDER_FP + bench.LADDER_Q]
+    for A in algebras:
+        M = regular_module(A)
+        moves = [(a.source, a.target, m) for a, m in zip(A.quiver.arrows, M.maps)]
+        assert _layer_walk(M, moves) == loewy_length(A), A.name
+    # a move that keeps the space stalls the walk
+    S = simple(corpus_algebras["line2"], 0)
+    assert _layer_walk(S, [(0, 0, identity_map(S).blocks[0])]) is None
